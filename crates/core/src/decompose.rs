@@ -29,6 +29,7 @@ use crate::schedule::Schedule;
 use crate::solver::{SolveResult, SolveStats, StageTimings};
 use crate::tree::{Forest, TreeNode};
 use atsched_num::Ratio;
+use std::borrow::Borrow;
 
 /// One independent sub-instance rooted at a single tree of the forest.
 #[derive(Debug, Clone)]
@@ -110,10 +111,16 @@ pub fn decompose(inst: &Instance) -> Result<Decomposition, InstanceError> {
 /// timings are summed across shards — they measure work done, not wall
 /// clock, when shards ran concurrently.
 ///
-/// `parts` must be positionally parallel to `dec.shards`. The merged
-/// schedule is re-verified against `inst`; a failure here is a bug in
-/// the decomposition, not in the input.
-pub fn merge(inst: &Instance, dec: &Decomposition, parts: &[SolveResult]) -> SolveResult {
+/// `parts` must be positionally parallel to `dec.shards`. They are only
+/// read, so callers holding shared results (e.g. `Arc<SolveResult>`)
+/// pass them without cloning. The merged schedule is re-verified
+/// against `inst`; a failure here is a bug in the decomposition, not in
+/// the input.
+pub fn merge(
+    inst: &Instance,
+    dec: &Decomposition,
+    parts: &[impl Borrow<SolveResult>],
+) -> SolveResult {
     assert_eq!(parts.len(), dec.shards.len(), "one result per shard");
 
     let mut slots: Vec<i64> = Vec::new();
@@ -140,6 +147,7 @@ pub fn merge(inst: &Instance, dec: &Decomposition, parts: &[SolveResult]) -> Sol
     let mut exact_sum: Option<Ratio> = Some(Ratio::zero());
 
     for (shard, part) in dec.shards.iter().zip(parts) {
+        let part: &SolveResult = part.borrow();
         let off = shard.offset;
         slots.extend(part.schedule.slots.iter().map(|&t| t + off));
         assignment.extend(

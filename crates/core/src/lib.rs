@@ -73,7 +73,7 @@ pub use delta::{DeltaError, DeltaOp, JobDelta};
 pub use instance::{Instance, InstanceError, Job};
 pub use schedule::Schedule;
 pub use solver::{
-    solve_nested, solve_nested_seeded, LpBackend, LpPath, PrecisionMode, SeededSolve, ShardMode,
-    SolveError, SolveResult, SolveStats, SolverOptions, StageTimings, WarmSeed,
+    solve_nested, LpBackend, LpPath, PrecisionMode, ShardMode, SolveError, SolveResult, SolveStats,
+    SolverOptions, StageTimings,
 };
 pub use treelp::TreeDecline;

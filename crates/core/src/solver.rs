@@ -94,8 +94,8 @@ impl std::str::FromStr for ShardMode {
 ///
 /// Orthogonal to [`LpBackend`]: only consulted when `backend` is
 /// [`LpBackend::Exact`] (the float backends are approximate by design
-/// and ignore it). Warm-started solves ([`solve_nested_seeded`]) also
-/// ignore it — the seed protocol is defined over the pure exact solver.
+/// and ignore it). Every exact-backend solve honours it, including the
+/// dirty shards of an incremental session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrecisionMode {
     /// f64-first with exact verification (the default): solve the LP in
@@ -146,8 +146,8 @@ impl std::str::FromStr for PrecisionMode {
 /// whenever it answers; it declines (with a typed
 /// [`TreeDecline`](crate::treelp::TreeDecline) reason) on shapes it
 /// cannot certify. Only consulted when `backend` is
-/// [`LpBackend::Exact`]; warm-started solves ([`solve_nested_seeded`])
-/// ignore it, like they ignore `precision`.
+/// [`LpBackend::Exact`]; like `precision`, it applies to every
+/// exact-backend solve, session amends included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LpPath {
     /// Try the tree path first, silently fall back to simplex on a
@@ -295,7 +295,8 @@ pub struct StageTimings {
     /// lower-bound oracle.
     pub canonicalize: Duration,
     /// Building and solving the strengthened LP (both attempts, for the
-    /// snap backend).
+    /// snap backend; a declined tree-path attempt plus the simplex that
+    /// follows it, on [`LpPath::Auto`]).
     pub lp: Duration,
     /// Lemma 3.1 push-down.
     pub transform: Duration,
@@ -422,7 +423,7 @@ pub fn solve_nested(inst: &Instance, opts: &SolverOptions) -> Result<SolveResult
     let nodes_original = forest.num_nodes();
     let canon = canonicalize(&forest, inst);
     let bounds = opt23::compute(&canon, inst);
-    let timings = StageTimings { canonicalize: stage.elapsed(), ..StageTimings::default() };
+    let mut timings = StageTimings { canonicalize: stage.elapsed(), ..StageTimings::default() };
     drop(span);
 
     match opts.backend {
@@ -439,7 +440,6 @@ pub fn solve_nested(inst: &Instance, opts: &SolverOptions) -> Result<SolveResult
                     opts.ceiling_depth,
                 ) {
                     Ok(crate::treelp::TreeOutcome::Solved(sol)) => {
-                        let mut timings = timings;
                         timings.lp = stage.elapsed();
                         obs::histogram_record("span.lp.ms", timings.lp.as_secs_f64() * 1e3);
                         obs::counter_add("lp.tree_solved", 1);
@@ -462,6 +462,14 @@ pub fn solve_nested(inst: &Instance, opts: &SolverOptions) -> Result<SolveResult
                             "scale" => obs::counter_add("lp.tree_fallback.scale", 1),
                             _ => obs::counter_add("lp.tree_fallback.overflow", 1),
                         }
+                        // The declined attempt is LP work: it opens the
+                        // simplex pipeline's `lp` stage, and gets its own
+                        // span sum so the `lp` span stays simplex-only.
+                        timings.lp = stage.elapsed();
+                        obs::histogram_record(
+                            "span.lp_tree_declined.ms",
+                            timings.lp.as_secs_f64() * 1e3,
+                        );
                         if opts.lp_path == LpPath::Tree {
                             return Err(SolveError::TreeDeclined(decline));
                         }
@@ -493,85 +501,6 @@ pub fn solve_nested(inst: &Instance, opts: &SolverOptions) -> Result<SolveResult
     }
 }
 
-/// An opaque warm-start seed for [`solve_nested_seeded`]: the primal/
-/// dual certificate of a prior exact LP solve.
-///
-/// Captured by a `capture = true` solve and fed back into a later solve
-/// of a closely related instance. Reuse is gated by an exact
-/// optimality-and-uniqueness proof against the new LP (see
-/// [`atsched_lp::Model::try_warm`]), so a seeded solve is always
-/// bit-identical to a cold one — at worst the seed is declined and the
-/// LP is solved from scratch.
-#[derive(Debug, Clone)]
-pub struct WarmSeed {
-    cert: crate::lp_model::LpCertificate<Ratio>,
-}
-
-/// Result of [`solve_nested_seeded`].
-#[derive(Debug)]
-pub struct SeededSolve {
-    /// The solve result — bit-identical to what [`solve_nested`] returns.
-    pub result: SolveResult,
-    /// A seed for a future solve: the accepted input seed on a warm hit,
-    /// or a freshly captured certificate when `capture` was requested.
-    pub seed: Option<WarmSeed>,
-    /// True when the input seed was accepted and the simplex never ran.
-    pub warm_hit: bool,
-}
-
-/// [`solve_nested`] with LP warm-starting across related solves.
-///
-/// Exact-backend only: on any other backend (or the empty instance)
-/// this delegates to [`solve_nested`] and returns no seed. When `seed`
-/// is provided and certifies the unique optimum of the amended LP, the
-/// LP stage is skipped; `capture` harvests a certificate from a cold
-/// solve (one extra presolve-free LP solve — worth it only when the
-/// seed will actually be reused). The returned [`SolveResult`] is
-/// bit-identical to a cold [`solve_nested`] in every case.
-pub fn solve_nested_seeded(
-    inst: &Instance,
-    opts: &SolverOptions,
-    seed: Option<&WarmSeed>,
-    capture: bool,
-) -> Result<SeededSolve, SolveError> {
-    if inst.jobs.is_empty() || opts.backend != LpBackend::Exact {
-        return solve_nested(inst, opts).map(|result| SeededSolve {
-            result,
-            seed: None,
-            warm_hit: false,
-        });
-    }
-    let _solve_span = obs::Span::enter("solve");
-    let stage = Instant::now();
-    let span = obs::Span::enter("canonicalize");
-    let forest = Forest::build(inst).map_err(SolveError::Instance)?;
-    let nodes_original = forest.num_nodes();
-    let canon = canonicalize(&forest, inst);
-    let bounds = opt23::compute(&canon, inst);
-    let mut timings = StageTimings { canonicalize: stage.elapsed(), ..StageTimings::default() };
-    drop(span);
-
-    let stage = Instant::now();
-    let lp_span = obs::Span::enter("lp");
-    let mut lp = build_opts::<Ratio>(&canon, inst, &bounds, opts.use_ceiling);
-    if opts.use_ceiling && opts.ceiling_depth > 3 {
-        let deep = crate::opt23::compute_deep(&canon, inst, opts.ceiling_depth);
-        crate::lp_model::add_deep_ceilings(&mut lp, &canon, &deep);
-    }
-    let warm = lp.solve_warm(seed.map(|s| &s.cert), capture).map_err(|e| match e {
-        NestedLpError::Infeasible => SolveError::Infeasible,
-        NestedLpError::Solver(e) => SolveError::Lp(e),
-    })?;
-    timings.lp = stage.elapsed();
-    drop(lp_span);
-
-    let warm_hit = warm.warm_hit;
-    let seed_out = warm.certificate.map(|cert| WarmSeed { cert });
-    let result =
-        finish_pipeline::<Ratio>(inst, canon, nodes_original, opts, warm.solution, timings)?;
-    Ok(SeededSolve { result, seed: seed_out, warm_hit })
-}
-
 /// Job-count gate for the Lemma 4.1 deficiency cross-check on the
 /// hybrid path. The check enumerates `2^n` job subsets, so it is only
 /// affordable (and only run) on small instances; 12 keeps it well under
@@ -596,6 +525,7 @@ fn run_hybrid_pipeline(
     mut timings: StageTimings,
     certify: bool,
 ) -> Result<SolveResult, SolveError> {
+    let incoming = timings;
     let stage = Instant::now();
     let lp_span = obs::Span::enter("lp");
     let mut lp = build_opts::<Ratio>(&canon, inst, bounds, opts.use_ceiling);
@@ -607,10 +537,9 @@ fn run_hybrid_pipeline(
         NestedLpError::Infeasible => SolveError::Infeasible,
         NestedLpError::Solver(e) => SolveError::Lp(e),
     })?;
-    timings.lp = stage.elapsed();
+    timings.lp += stage.elapsed();
     drop(lp_span);
 
-    let canonicalize = timings.canonicalize;
     let result = finish_pipeline::<Ratio>(inst, canon, nodes_original, opts, sol, timings)?;
     if certify
         && inst.num_jobs() <= LEMMA41_JOB_LIMIT
@@ -618,8 +547,7 @@ fn run_hybrid_pipeline(
             .is_err()
     {
         obs::counter_add("solver.hybrid_lemma41_fallbacks", 1);
-        let timings = StageTimings { canonicalize, ..StageTimings::default() };
-        return run_pipeline::<Ratio>(inst, result.forest, nodes_original, bounds, opts, timings);
+        return run_pipeline::<Ratio>(inst, result.forest, nodes_original, bounds, opts, incoming);
     }
     Ok(result)
 }
@@ -700,7 +628,7 @@ fn run_pipeline<S: Scalar>(
         NestedLpError::Infeasible => SolveError::Infeasible,
         NestedLpError::Solver(e) => SolveError::Lp(e),
     })?;
-    timings.lp = stage.elapsed();
+    timings.lp += stage.elapsed();
     drop(lp_span);
     finish_pipeline::<S>(inst, canon, nodes_original, opts, sol, timings)
 }
@@ -1020,73 +948,6 @@ mod tests {
     }
 
     #[test]
-    fn seeded_solve_matches_cold_and_reuses_certificates() {
-        let i = inst(2, vec![(0, 12, 3), (1, 6, 2), (2, 5, 1), (7, 11, 2)]);
-        let opts = SolverOptions::exact();
-        let cold = solve_nested(&i, &opts).unwrap();
-
-        // Capture pass: same result as cold, plus a certificate.
-        let first = solve_nested_seeded(&i, &opts, None, true).unwrap();
-        assert!(!first.warm_hit);
-        assert_eq!(first.result.z, cold.z);
-        assert_eq!(first.result.stats.lp_objective_exact, cold.stats.lp_objective_exact);
-        assert_eq!(first.result.schedule.slots, cold.schedule.slots);
-        let seed = first.seed.expect("capture must produce a seed");
-
-        // Re-solving the *same* instance with the seed is bit-identical
-        // whether or not the certificate managed to prove uniqueness
-        // (slack windows usually admit alternate LP optima, so a decline
-        // and cold re-solve is the common outcome here).
-        let second = solve_nested_seeded(&i, &opts, Some(&seed), true).unwrap();
-        assert_eq!(second.result.z, cold.z);
-        assert_eq!(second.result.stats.lp_objective_exact, cold.stats.lp_objective_exact);
-        assert_eq!(second.result.schedule.slots, cold.schedule.slots);
-        assert_eq!(second.result.schedule.assignment, cold.schedule.assignment);
-
-        // A seed from a *different* instance is declined, never wrong.
-        let other = inst(2, vec![(0, 12, 3), (1, 6, 2), (2, 5, 2), (7, 11, 2)]);
-        let third = solve_nested_seeded(&other, &opts, Some(&seed), false).unwrap();
-        assert!(!third.warm_hit);
-        assert!(third.seed.is_none(), "no capture requested");
-        let other_cold = solve_nested(&other, &opts).unwrap();
-        assert_eq!(third.result.z, other_cold.z);
-        assert_eq!(third.result.stats.lp_objective_exact, other_cold.stats.lp_objective_exact);
-    }
-
-    #[test]
-    fn rigid_instances_warm_hit() {
-        // Window length == processing pins every LP variable, so the
-        // captured certificate proves uniqueness and the re-solve skips
-        // the simplex entirely.
-        let i = inst(2, vec![(0, 4, 4), (0, 4, 4)]);
-        let opts = SolverOptions::exact();
-        let cold = solve_nested(&i, &opts).unwrap();
-        let first = solve_nested_seeded(&i, &opts, None, true).unwrap();
-        let seed = first.seed.expect("capture must produce a seed");
-        let second = solve_nested_seeded(&i, &opts, Some(&seed), true).unwrap();
-        assert!(second.warm_hit, "rigid LP must accept its own certificate");
-        assert!(second.seed.is_some(), "warm hit keeps the seed alive");
-        assert_eq!(second.result.z, cold.z);
-        assert_eq!(second.result.stats.lp_objective_exact, cold.stats.lp_objective_exact);
-        assert_eq!(second.result.schedule.slots, cold.schedule.slots);
-        assert_eq!(second.result.schedule.assignment, cold.schedule.assignment);
-    }
-
-    #[test]
-    fn seeded_solve_degrades_gracefully_off_the_exact_backend() {
-        let i = inst(2, vec![(0, 8, 2), (1, 4, 1), (5, 7, 1)]);
-        let r = solve_nested_seeded(&i, &SolverOptions::float(), None, true).unwrap();
-        assert!(!r.warm_hit);
-        assert!(r.seed.is_none(), "float backend never captures");
-        r.result.schedule.verify(&i).unwrap();
-
-        let empty = inst(3, vec![]);
-        let r = solve_nested_seeded(&empty, &SolverOptions::exact(), None, true).unwrap();
-        assert_eq!(r.result.stats.opened_slots, 0);
-        assert!(r.seed.is_none());
-    }
-
-    #[test]
     fn precision_mode_labels_round_trip() {
         for mode in [PrecisionMode::Hybrid, PrecisionMode::Exact, PrecisionMode::F64Unchecked] {
             assert_eq!(mode.label().parse::<PrecisionMode>().unwrap(), mode);
@@ -1168,6 +1029,25 @@ mod tests {
                 (h, e) => proptest::prop_assert!(false, "diverged: {:?} vs {:?}", h, e),
             }
         }
+    }
+
+    #[test]
+    fn declined_tree_attempts_count_as_lp_time() {
+        use std::sync::Arc;
+        // The tree path cannot pin this LP's optimum (NonUniqueSplit),
+        // so Auto falls through to the simplex.
+        let i = inst(2, vec![(0, 10, 2), (1, 6, 2), (2, 5, 1), (7, 9, 1)]);
+        let reg = Arc::new(obs::Registry::new());
+        let r = obs::with_collector(obs::Collector::new(Arc::clone(&reg)), || {
+            solve_nested(&i, &SolverOptions::exact()).unwrap()
+        });
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("lp.tree_fallback.nonunique"), Some(1));
+        let declined = snap.histogram("span.lp_tree_declined.ms").expect("declined attempt timed");
+        assert_eq!(declined.count, 1);
+        assert!(r.stats.timings.lp.as_secs_f64() * 1e3 >= declined.sum);
+        // The `lp` span itself still covers the simplex run only.
+        assert_eq!(snap.histogram("span.lp.ms").map(|h| h.count), Some(1));
     }
 
     #[test]

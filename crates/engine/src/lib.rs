@@ -41,7 +41,9 @@
 //! use atsched_engine::{Engine, EngineConfig};
 //!
 //! let inst = Instance::new(2, vec![Job::new(0, 4, 2), Job::new(1, 3, 1)]).unwrap();
-//! let engine = Engine::new(EngineConfig::default());
+//! // One worker: with more, the two copies can be solved concurrently
+//! // and both miss the cache (results are identical either way).
+//! let engine = Engine::new(EngineConfig::default().workers(1));
 //! let batch = engine.solve_batch(&[inst.clone(), inst], &SolverOptions::exact());
 //! assert_eq!(batch.report.solved, 2);
 //! assert_eq!(batch.report.cache.hits, 1); // second instance is a repeat

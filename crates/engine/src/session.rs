@@ -15,15 +15,17 @@
 //! 2. **Engine cache.** Dirty shards first consult the engine's solve
 //!    cache (shared with [`Engine::solve_batch`]), so a shard shape seen
 //!    anywhere before — by any session or batch — is reused.
-//! 3. **LP warm starts.** A genuinely dirty shard is solved with
-//!    [`solve_nested_seeded`]: a dual certificate captured from the
-//!    previous solve of the overlapping time region is offered to the
-//!    new LP and reused only when it *proves* the unique optimum
-//!    (see [`atsched_lp::Model::try_warm`]) — bit-identical or declined.
+//! 3. **Cold-path re-solve.** A genuinely dirty shard (or the whole
+//!    instance, when it has a single root) is solved by
+//!    [`solve_nested`] under the session's own [`SolverOptions`] — the
+//!    very path a cold solve takes. With the defaults that is the tree
+//!    DP first, then the verified hybrid simplex, then the exact
+//!    simplex; `precision` and `lp_path` apply exactly as they do to
+//!    [`Engine::solve_one`].
 //!
 //! The invariant is absolute: **any amend sequence yields exactly the
-//! result a cold solve of the final instance would**. Every reuse layer
-//! is either content-identical (1, 2) or proof-gated (3).
+//! result a cold solve of the final instance would**. Layers 1 and 2 are
+//! content-identical reuse, and layer 3 *is* the cold solve.
 //!
 //! Sessions deliberately ignore [`EngineConfig::timeout`]: the splice
 //! bookkeeping needs borrowed state that the budget helper thread's
@@ -43,19 +45,19 @@
 //! When the engine observes, sessions record `engine.open_ms` /
 //! `engine.amend_ms` latency histograms, an `engine.amends` counter, an
 //! `engine.sessions_open` gauge, per-amend reuse counters
-//! (`engine.amend_shards_reused`, `engine.amend_shards_solved`,
-//! `engine.amend_warm_hits`, `engine.amend_warm_misses`), and a
-//! `span.amend.ms` span wrapping the re-solve.
+//! (`engine.amend_shards_reused`, `engine.amend_shards_solved`), and a
+//! `span.amend.ms` span wrapping the re-solve. Dirty-shard solves record
+//! the same solver spans and LP-path counters as any cold solve.
 
 use crate::batch::{settle, Engine, Outcome};
 use crate::cache::CacheKey;
 use crate::isolate::{isolated, Interrupt};
 use crate::par::par_map_workers;
 use crate::shard;
-use atsched_core::decompose::{merge, Shard};
+use atsched_core::decompose::merge;
 use atsched_core::delta::{apply, DeltaError, JobDelta};
 use atsched_core::instance::{Instance, Job};
-use atsched_core::solver::{solve_nested_seeded, SolveError, SolveResult, SolverOptions, WarmSeed};
+use atsched_core::solver::{solve_nested, SolveError, SolveResult, SolverOptions};
 use atsched_obs as obs;
 use std::collections::HashMap;
 use std::fmt;
@@ -123,12 +125,9 @@ struct SessionState {
     outcome: Outcome,
     /// Per-part results of the previous solve, keyed by normalized
     /// content. Rebuilt on every solve, so it never outgrows the
-    /// current decomposition.
-    parts: HashMap<PartKey, SolveResult>,
-    /// Dual certificates from the previous solve, keyed by the absolute
-    /// time hull `[lo, hi)` they were captured over. Offered to dirty
-    /// shards overlapping that hull.
-    seeds: Vec<(i64, i64, WarmSeed)>,
+    /// current decomposition. Shared, so splicing a part into the next
+    /// solve (and into its merge) copies a pointer, not a schedule.
+    parts: HashMap<PartKey, Arc<SolveResult>>,
 }
 
 /// A live incremental-solving session (see the [module docs](self)).
@@ -146,17 +145,15 @@ impl Engine {
     /// Open a session on `inst`: solve it eagerly under this engine's
     /// policy and keep the per-part results for future amends.
     ///
-    /// The options are fixed for the session's lifetime. The initial
-    /// solve records into `engine.open_ms`; it captures no LP
-    /// certificates (that costs an extra LP solve per shard), so warm
-    /// starts begin with the second amend.
+    /// The options are fixed for the session's lifetime and govern the
+    /// opening solve and every amend alike. The initial solve records
+    /// into `engine.open_ms`.
     pub fn open_session(&self, inst: Instance, opts: &SolverOptions) -> Session<'_> {
         let mut state = SessionState {
             instance: inst,
             opts: opts.clone(),
             outcome: Outcome::Failed("session not yet solved".into()),
             parts: HashMap::new(),
-            seeds: Vec::new(),
         };
         let start = Instant::now();
         let outcome = self.observed(|| self.session_solve(&mut state, false));
@@ -188,7 +185,7 @@ impl Engine {
         Some(Session { engine: self, id, state })
     }
 
-    /// Close a session, dropping its cached parts and seeds. Returns
+    /// Close a session, dropping its cached parts. Returns
     /// whether the id was open. (Results already copied into the
     /// engine's solve cache stay there.)
     pub fn close_session(&self, id: SessionId) -> bool {
@@ -208,37 +205,32 @@ impl Engine {
     }
 
     /// Solve `state.instance`, splicing previous parts where the
-    /// decomposition's content matches and seeding dirty shards with
-    /// captured LP certificates. `amend` enables certificate capture and
-    /// the amend reuse counters (the opening solve skips both).
+    /// decomposition's content matches and solving everything else on
+    /// the cold path. `amend` enables the amend reuse counters (the
+    /// opening solve skips them).
     fn session_solve(&self, state: &mut SessionState, amend: bool) -> Outcome {
         let start = Instant::now();
-        let inst = state.instance.clone();
-        let opts = state.opts.clone();
+        let inst = &state.instance;
+        let opts = &state.opts;
         let prev_parts = std::mem::take(&mut state.parts);
-        let prev_seeds = std::mem::take(&mut state.seeds);
-        let mut next_parts: HashMap<PartKey, SolveResult> = HashMap::new();
-        let mut next_seeds: Vec<(i64, i64, WarmSeed)> = Vec::new();
+        let mut next_parts: HashMap<PartKey, Arc<SolveResult>> = HashMap::new();
         let mut reused = 0u64;
         let mut dirty_solved = 0u64;
-        let mut warm_hits = 0u64;
-        let mut warm_misses = 0u64;
 
         let solved: Result<Result<SolveResult, SolveError>, Interrupt> = isolated(|| {
-            match shard::plan(&inst, &opts) {
+            match shard::plan(inst, opts) {
                 Some(dec) => {
-                    let sopts = shard::shard_options(&opts);
+                    let sopts = shard::shard_options(opts);
                     let n = dec.len();
                     // Resolution pass: splice from session parts, then
                     // from the engine cache; everything else is dirty.
-                    let mut slots: Vec<Option<Result<SolveResult, SolveError>>> =
+                    let mut slots: Vec<Option<Result<Arc<SolveResult>, SolveError>>> =
                         (0..n).map(|_| None).collect();
                     let mut dirty: Vec<usize> = Vec::new();
                     for (i, sh) in dec.shards.iter().enumerate() {
                         if let Some(part) = prev_parts.get(&PartKey::of(&sh.instance)) {
                             reused += 1;
-                            carry_seeds(&prev_seeds, abs_hull(sh), &mut next_seeds);
-                            slots[i] = Some(Ok(part.clone()));
+                            slots[i] = Some(Ok(Arc::clone(part)));
                         } else if let Some(found) = self
                             .cfg
                             .cache
@@ -249,20 +241,18 @@ impl Engine {
                                 self.registry.counter("engine.shard_cache_hits").inc();
                             }
                             reused += 1;
-                            slots[i] = Some(found);
+                            slots[i] = Some(found.map(Arc::new));
                         } else {
                             dirty.push(i);
                         }
                     }
                     dirty_solved += dirty.len() as u64;
 
-                    // Fan the dirty shards out, seeded by hull overlap.
+                    // Fan the dirty shards out on the cold-solve path.
                     let workers = self.cfg.effective_workers();
                     let collector = obs::current_collector();
                     let dirty_out = par_map_workers(dirty, workers, |i| {
-                        let sh = &dec.shards[i];
-                        let seed = find_seed(&prev_seeds, abs_hull(sh));
-                        let run = || solve_nested_seeded(&sh.instance, &sopts, seed, amend);
+                        let run = || solve_nested(&dec.shards[i].instance, &sopts);
                         let res = match &collector {
                             Some(c) => obs::with_collector(c.clone(), run),
                             None => run(),
@@ -270,31 +260,11 @@ impl Engine {
                         (i, res)
                     });
                     for (i, res) in dirty_out {
-                        let sh = &dec.shards[i];
-                        let key = self.cfg.cache.then(|| CacheKey::new(&sh.instance, &sopts));
-                        match res {
-                            Ok(s) => {
-                                if s.warm_hit {
-                                    warm_hits += 1;
-                                } else if amend {
-                                    warm_misses += 1;
-                                }
-                                if let Some(seed) = s.seed {
-                                    let (lo, hi) = abs_hull(sh);
-                                    next_seeds.push((lo, hi, seed));
-                                }
-                                if let Some(key) = key {
-                                    self.cache.insert(key, Ok(s.result.clone()));
-                                }
-                                slots[i] = Some(Ok(s.result));
-                            }
-                            Err(e) => {
-                                if let Some(key) = key {
-                                    self.cache.insert(key, Err(e.clone()));
-                                }
-                                slots[i] = Some(Err(e));
-                            }
+                        if self.cfg.cache {
+                            let key = CacheKey::new(&dec.shards[i].instance, &sopts);
+                            self.cache.insert(key, res.clone());
                         }
+                        slots[i] = Some(res.map(Arc::new));
                     }
 
                     // Combine in root order; the first error wins,
@@ -302,15 +272,15 @@ impl Engine {
                     // [`shard::solve_decomposed`]. Successful parts are
                     // kept for future amends even when a sibling failed —
                     // content keys stay valid regardless.
-                    let mut parts: Vec<SolveResult> = Vec::with_capacity(n);
+                    let mut parts: Vec<Arc<SolveResult>> = Vec::with_capacity(n);
                     let mut first_err: Option<SolveError> = None;
                     for (sh, slot) in dec.shards.iter().zip(slots) {
                         match slot.expect("every shard resolved") {
                             Ok(r) => {
-                                next_parts.insert(PartKey::of(&sh.instance), r.clone());
                                 if first_err.is_none() {
-                                    parts.push(r);
+                                    parts.push(Arc::clone(&r));
                                 }
+                                next_parts.insert(PartKey::of(&sh.instance), r);
                             }
                             Err(e) => {
                                 if first_err.is_none() {
@@ -323,7 +293,7 @@ impl Engine {
                         Some(e) => Err(e),
                         None => {
                             let span = obs::Span::enter("solve.merge");
-                            let merged = merge(&inst, &dec, &parts);
+                            let merged = merge(inst, &dec, &parts);
                             drop(span);
                             obs::counter_add("engine.shards", n as u64);
                             Ok(merged)
@@ -331,53 +301,38 @@ impl Engine {
                     }
                 }
                 // Single-root (or sharding-off) instances degenerate to
-                // one pseudo-shard: splice on identical content, seed
-                // from the whole-instance hull otherwise.
+                // one pseudo-shard: splice on identical content, solve
+                // cold otherwise.
                 None => {
-                    let key = PartKey::of(&inst);
-                    let hull = inst.horizon().unwrap_or((0, 0));
+                    let key = PartKey::of(inst);
                     if let Some(part) = prev_parts.get(&key) {
                         reused += 1;
-                        carry_seeds(&prev_seeds, hull, &mut next_seeds);
-                        let part = part.clone();
-                        next_parts.insert(key, part.clone());
-                        Ok(part)
+                        let result = SolveResult::clone(part);
+                        next_parts.insert(key, Arc::clone(part));
+                        Ok(result)
                     } else {
                         dirty_solved += 1;
-                        let seed = find_seed(&prev_seeds, hull);
-                        match solve_nested_seeded(&inst, &opts, seed, amend) {
-                            Ok(s) => {
-                                if s.warm_hit {
-                                    warm_hits += 1;
-                                } else if amend {
-                                    warm_misses += 1;
-                                }
-                                if let Some(sd) = s.seed {
-                                    next_seeds.push((hull.0, hull.1, sd));
-                                }
-                                next_parts.insert(key, s.result.clone());
-                                Ok(s.result)
-                            }
-                            Err(e) => Err(e),
+                        let res = solve_nested(inst, opts);
+                        if let Ok(r) = &res {
+                            next_parts.insert(key, Arc::new(r.clone()));
                         }
+                        res
                     }
                 }
             }
         });
 
         state.parts = next_parts;
-        state.seeds = next_seeds;
         if self.cfg.observe && amend {
             self.registry.counter("engine.amends").inc();
             self.registry.counter("engine.amend_shards_reused").add(reused);
             self.registry.counter("engine.amend_shards_solved").add(dirty_solved);
-            self.registry.counter("engine.amend_warm_hits").add(warm_hits);
-            self.registry.counter("engine.amend_warm_misses").add(warm_misses);
         }
 
         match solved {
             Ok(deterministic) => {
-                if let Some(key) = self.cfg.cache.then(|| CacheKey::new(&inst, &opts)) {
+                if self.cfg.cache {
+                    let key = CacheKey::new(&state.instance, &state.opts);
                     self.cache.insert(key, deterministic.clone());
                     if self.cfg.observe {
                         self.registry.gauge("engine.cache_entries").set(self.cache.len() as i64);
@@ -436,32 +391,6 @@ impl Session<'_> {
                 .record(start.elapsed().as_secs_f64() * 1e3);
         }
         Ok(outcome)
-    }
-}
-
-/// A shard's absolute time hull `[lo, hi)` (offset undone).
-fn abs_hull(sh: &Shard) -> (i64, i64) {
-    let (lo, hi) = sh.instance.horizon().unwrap_or((0, 0));
-    (sh.offset + lo, sh.offset + hi)
-}
-
-/// The first previous-solve seed overlapping `hull`, if any.
-fn find_seed(seeds: &[(i64, i64, WarmSeed)], hull: (i64, i64)) -> Option<&WarmSeed> {
-    seeds.iter().find(|(lo, hi, _)| *lo < hull.1 && hull.0 < *hi).map(|(_, _, s)| s)
-}
-
-/// Carry every seed overlapping `hull` forward under the new hull (a
-/// spliced shard keeps its region's certificates alive for the amend
-/// that eventually dirties it).
-fn carry_seeds(
-    seeds: &[(i64, i64, WarmSeed)],
-    hull: (i64, i64),
-    out: &mut Vec<(i64, i64, WarmSeed)>,
-) {
-    for (lo, hi, seed) in seeds {
-        if *lo < hull.1 && hull.0 < *hi {
-            out.push((hull.0, hull.1, seed.clone()));
-        }
     }
 }
 
@@ -611,29 +540,29 @@ mod tests {
     }
 
     #[test]
-    fn rigid_amends_warm_start_the_lp() {
-        // Fully rigid instances (window length == processing) have
-        // provably unique LP optima, and the LP model depends only on
-        // window *shapes*, not absolute times — so sliding a rigid
-        // instance along the timeline changes its content (dirty, no
-        // splice) while the certificate captured by the previous amend
-        // still proves the new optimum. The simplex never runs.
-        let opts = SolverOptions::exact();
+    fn dirty_shards_take_the_tree_path() {
+        // Rigid jobs (window length == processing) pin every LP
+        // variable, so the tree DP certifies each shard without the
+        // simplex; a dirty shard must take that path like a cold solve.
+        let opts = SolverOptions { shard: ShardMode::Force, ..SolverOptions::default() };
         let engine = Engine::new(EngineConfig::default().workers(1).cache(false));
-        let session = engine.open_session(inst(2, vec![(0, 4, 4), (0, 4, 4)]), &opts);
+        let rigid = |k: i64| vec![(12 * k, 12 * k + 4, 4), (12 * k + 1, 12 * k + 3, 2)];
+        let session = engine.open_session(inst(3, (0..4).flat_map(rigid).collect()), &opts);
         assert!(session.outcome().is_solved());
 
-        // Amend 1: dirty solve, no seed yet (open captures none) — a
-        // warm miss that captures the certificate. Amend 2: dirty again,
-        // hulls overlap, certificate accepted.
-        session.amend(&JobDelta::new().modify_window(0, 1, 5).modify_window(1, 1, 5)).unwrap();
-        session.amend(&JobDelta::new().modify_window(0, 2, 6).modify_window(1, 2, 6)).unwrap();
-        let snap = engine.registry().snapshot();
-        assert_eq!(snap.counter("engine.amend_warm_misses"), Some(1), "{snap:?}");
-        assert_eq!(snap.counter("engine.amend_warm_hits"), Some(1), "{snap:?}");
-        // Bit-identity holds throughout, warm or cold.
-        let cold =
-            Engine::new(EngineConfig::default().cache(false)).solve_one(&session.instance(), &opts);
-        assert_bit_identical(&session.outcome(), &cold);
+        // Dirty the second root only, with another rigid job.
+        let before = engine.registry().snapshot();
+        let outcome = session.amend(&JobDelta::new().add(Job::new(13, 15, 2))).unwrap();
+        let after = engine.registry().snapshot();
+        let delta =
+            |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
+        assert_eq!(delta("engine.amend_shards_solved"), 1, "{after:?}");
+        assert_eq!(delta("lp.tree_solved"), 1, "{after:?}");
+        let lp_spans =
+            |s: &obs::RegistrySnapshot| s.histogram("span.lp.self_ms").map_or(0, |h| h.count);
+        assert_eq!(lp_spans(&after), lp_spans(&before), "the simplex must not run");
+
+        let cold = Engine::new(EngineConfig::default().cache(false));
+        assert_bit_identical(&outcome, &cold.solve_one(&session.instance(), &opts));
     }
 }

@@ -74,7 +74,7 @@ pub(crate) struct Rederived<S> {
 
 /// Re-derive the vertex selected by `fb` on `model`, in `model`'s own
 /// scalar field, and check primal feasibility. Optimality is *not*
-/// checked here — see [`Model::try_warm_detailed`] for the certificate.
+/// checked here — see [`Model::check_duality`] for the certificate.
 pub(crate) fn rederive<S: Scalar>(
     model: &Model<S>,
     fb: &FinalBasis,

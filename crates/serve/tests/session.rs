@@ -374,3 +374,38 @@ fn v2_session_replies_parse_for_version_blind_readers() {
     client.shutdown().expect("drain");
     handle.join().unwrap();
 }
+
+#[test]
+fn open_honours_lp_path_like_solve() {
+    let handle = spawn_server(ServerConfig::default().workers(1));
+    let mut conn = RawConn::connect(handle.addr());
+
+    // One root whose LP optimum the tree path cannot pin: a forced tree
+    // path declines it, and must do so for `open` exactly as for `solve`.
+    let inst = r#"{"g":2,"jobs":[{"release":0,"deadline":10,"processing":2},{"release":1,"deadline":6,"processing":2},{"release":2,"deadline":5,"processing":1},{"release":7,"deadline":9,"processing":1}]}"#;
+    for (id, lp_path) in [(1, "tree"), (3, "auto")] {
+        let solved = conn.exchange(&format!(
+            r#"{{"id":{id},"verb":"solve","version":2,"lp_path":"{lp_path}","instance":{inst}}}"#
+        ));
+        let opened = conn.exchange(&format!(
+            r#"{{"id":{},"verb":"open","version":2,"lp_path":"{lp_path}","instance":{inst}}}"#,
+            id + 1
+        ));
+        assert_eq!(opened.error_kind(), solved.error_kind(), "{lp_path}: {opened:?} vs {solved:?}");
+        assert_eq!(
+            opened.error.as_ref().map(|e| &e.message),
+            solved.error.as_ref().map(|e| &e.message),
+            "{lp_path}: failure messages diverged"
+        );
+        if lp_path == "tree" {
+            assert_eq!(solved.error_kind(), Some(kind::FAILED), "{solved:?}");
+        } else {
+            assert!(solved.is_ok() && opened.is_ok(), "{solved:?} / {opened:?}");
+            assert_eq!(opened.solve.unwrap().active_slots, solved.solve.unwrap().active_slots);
+        }
+    }
+
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.shutdown().expect("drain");
+    handle.join().unwrap();
+}
