@@ -10,6 +10,7 @@ pub(crate) fn cmd_client(args: &[String]) -> Result<(), String> {
     let addr = args.first().ok_or("client needs ADDR (host:port) and a verb")?;
     let verb = args.get(1).map(String::as_str).ok_or("client needs a verb after ADDR")?;
     let rest = &args[2..];
+    crate::reject_removed_lp_flags(rest, &["--backend", "--precision", "--lp-path"])?;
     let mut client =
         Client::connect(addr.as_str()).map_err(|e| format!("connecting to {addr}: {e}"))?;
     match verb {
@@ -147,14 +148,8 @@ fn cmd_solve(client: &mut Client, args: &[String]) -> Result<(), String> {
     if let Some(method) = crate::flag_value(args, "--method") {
         req = req.with_method(method);
     }
-    if let Some(backend) = crate::flag_value(args, "--backend") {
-        req = req.with_backend(backend);
-    }
-    if let Some(precision) = crate::flag_value(args, "--precision") {
-        req = req.with_precision(precision);
-    }
-    if let Some(lp_path) = crate::flag_value(args, "--lp-path") {
-        req = req.with_lp_path(lp_path);
+    if let Some(lp) = crate::flag_value(args, "--lp") {
+        req = req.with_lp(lp.parse()?);
     }
     if crate::has_flag(args, "--polish") {
         req = req.with_polish(true);

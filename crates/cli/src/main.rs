@@ -3,9 +3,10 @@
 //!
 //! ```text
 //! atsched generate --g 3 --horizon 24 --seed 7 --out inst.json
-//! atsched solve inst.json [--float|--snap] [--polish] [--no-ceiling] [--schedule out.json] [--metrics]
-//! atsched batch [inst.json ...] [--count N] [--workers N] [--no-cache] [--timeout-ms N] [--check]
-//!               [--trace-out trace.json]
+//! atsched solve inst.json [--lp auto|simplex|exact|float] [--polish] [--no-ceiling]
+//!               [--schedule out.json] [--metrics]
+//! atsched batch [inst.json ...] [--count N] [--workers N] [--no-cache] [--timeout-ms N]
+//!               [--lp auto|simplex|exact|float] [--check] [--trace-out trace.json]
 //! atsched opt inst.json [--parallel]
 //! atsched greedy inst.json [--order ltr|rtl|rand]
 //! atsched verify inst.json schedule.json
@@ -29,9 +30,9 @@ use nested_active_time::baselines::incremental::minimal_feasible_fast;
 use nested_active_time::core::instance::Instance;
 use nested_active_time::core::schedule::Schedule;
 use nested_active_time::core::solver::{
-    solve_nested, LpBackend, LpPath, PrecisionMode, ShardMode, SolverOptions,
+    solve_nested, LpStrategy, ShardMode, SolveResult, SolverOptions,
 };
-use nested_active_time::engine::solve_nested_sharded;
+use nested_active_time::engine::{solve_nested_sharded, Outcome};
 use nested_active_time::workloads::generators::{
     random_laminar, random_multi_root, LaminarConfig, MultiRootConfig,
 };
@@ -73,13 +74,10 @@ atsched — nested active-time scheduling (SPAA 2022 reproduction)
 
 USAGE:
   atsched generate [--g N] [--horizon N] [--seed N] [--roots N] [--gap N] [--child-percent N] [--out FILE]
-  atsched solve INSTANCE.{json,txt} [--float|--snap] [--polish] [--no-ceiling] [--shard auto|off|force]
-                [--precision hybrid|exact|f64-unchecked] [--lp-path auto|tree|simplex]
-                [--schedule FILE] [--svg FILE] [--metrics]
+  atsched solve INSTANCE.{json,txt} [SOLVER OPTIONS] [--schedule FILE] [--svg FILE] [--metrics]
   atsched batch [INSTANCE ...] [--count N] [--g N] [--horizon N] [--seed N] [--roots N]
-                [--workers N] [--no-cache] [--timeout-ms N] [--float|--snap] [--polish]
-                [--shard auto|off|force] [--precision hybrid|exact|f64-unchecked]
-                [--lp-path auto|tree|simplex] [--check] [--keep-going] [--out FILE] [--trace-out FILE]
+                [--workers N] [--no-cache] [--timeout-ms N] [SOLVER OPTIONS]
+                [--check] [--keep-going] [--out FILE] [--trace-out FILE]
   atsched opt INSTANCE.json [--parallel]
   atsched greedy INSTANCE.json [--order ltr|rtl|rand]
   atsched verify INSTANCE.json SCHEDULE.json
@@ -88,13 +86,18 @@ USAGE:
                 [--max-sessions N] [--session-ttl-ms N] [--delay-ms N]
                 [--metrics-addr HOST:PORT] [--slow-ms N]
   atsched top ADDR [--interval-ms N] [--count N] [--no-clear]
-  atsched client ADDR solve INSTANCE [--method auto|nested|general|greedy] [--backend exact|float|snap]
-                 [--precision hybrid|exact|f64-unchecked] [--lp-path auto|tree|simplex] [--polish]
+  atsched client ADDR solve INSTANCE [--method auto|nested|general|greedy]
+                 [--lp auto|simplex|exact|float] [--polish]
                  [--seed N] [--shard auto|off|force] [--timeout-ms N] [--schedule FILE]
   atsched client ADDR batch INSTANCE [INSTANCE ...]
   atsched client ADDR open INSTANCE | amend SESSION DELTA.json | close SESSION
   atsched client ADDR stats | metrics | health | shutdown
   atsched amend ADDR INSTANCE --delta DELTA.json [--delta DELTA.json ...] [--keep-open]
+
+SOLVER OPTIONS:
+  --lp auto|simplex|exact|float   how the LP is solved (default auto: tree DP, then verified
+                                  f64-first simplex, then exact simplex; all but float are exact)
+  --polish  --no-ceiling  --shard auto|off|force
 ";
 
 pub(crate) fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -103,6 +106,57 @@ pub(crate) fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> 
 
 pub(crate) fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
+}
+
+/// Refuse LP flags of older releases by name: the parser ignores
+/// unknown flags, so a stale `--precision exact` would otherwise run the
+/// default strategy under a name it no longer selects.
+pub(crate) fn reject_removed_lp_flags(args: &[String], removed: &[&str]) -> Result<(), String> {
+    match removed.iter().find(|flag| has_flag(args, flag)) {
+        Some(flag) => Err(format!("{flag} was removed; use --lp auto|simplex|exact|float")),
+        None => Ok(()),
+    }
+}
+
+/// The solver flags `solve` and `batch` share.
+fn solver_options(args: &[String]) -> Result<SolverOptions, String> {
+    reject_removed_lp_flags(args, &["--float", "--snap", "--precision", "--lp-path"])?;
+    let mut opts = SolverOptions::exact();
+    if let Some(lp) = flag_value(args, "--lp") {
+        opts.lp = lp.parse()?;
+    }
+    if let Some(mode) = flag_value(args, "--shard") {
+        opts.shard = mode.parse()?;
+    }
+    opts.polish = has_flag(args, "--polish");
+    opts.use_ceiling = !has_flag(args, "--no-ceiling");
+    Ok(opts)
+}
+
+/// Compare two runs of one corpus outcome by outcome. `same` decides two
+/// solved results; both infeasible agree; a timeout on either side is
+/// inherently racy and never fails the check.
+fn compare_outcomes(
+    (left, a): (&str, &[Outcome]),
+    (right, b): (&str, &[Outcome]),
+    same: impl Fn(&SolveResult, &SolveResult) -> bool,
+) -> Result<(), String> {
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        let agree = match (x, y) {
+            (Outcome::Solved(p), Outcome::Solved(q)) => same(&p.result, &q.result),
+            (Outcome::Infeasible, Outcome::Infeasible) => true,
+            (Outcome::TimedOut, _) | (_, Outcome::TimedOut) => true,
+            _ => false,
+        };
+        if !agree {
+            return Err(format!(
+                "instance {i}: {left} outcome {} diverges from {right} {}",
+                x.label(),
+                y.label()
+            ));
+        }
+    }
+    Ok(())
 }
 
 pub(crate) fn parse_num<T: std::str::FromStr>(
@@ -168,28 +222,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
 
     let path = args.first().ok_or("solve needs an instance file")?;
     let inst = load(path)?;
-    let mut opts = SolverOptions::exact();
-    if has_flag(args, "--float") {
-        opts.backend = LpBackend::Float;
-    }
-    if has_flag(args, "--snap") {
-        opts.backend = LpBackend::FloatThenSnap;
-    }
-    if has_flag(args, "--polish") {
-        opts.polish = true;
-    }
-    if has_flag(args, "--no-ceiling") {
-        opts.use_ceiling = false;
-    }
-    if let Some(mode) = flag_value(args, "--shard") {
-        opts.shard = mode.parse::<ShardMode>()?;
-    }
-    if let Some(mode) = flag_value(args, "--precision") {
-        opts.precision = mode.parse::<PrecisionMode>()?;
-    }
-    if let Some(path) = flag_value(args, "--lp-path") {
-        opts.lp_path = path.parse::<LpPath>()?;
-    }
+    let opts = solver_options(args)?;
     let metrics = has_flag(args, "--metrics");
     let registry = Arc::new(obs::Registry::new());
     let result = if metrics {
@@ -238,8 +271,9 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
 /// is given, `N` generated laminar instances (seeds `--seed`,
 /// `--seed + 1`, …).
 fn cmd_batch(args: &[String]) -> Result<(), String> {
-    use nested_active_time::engine::{Engine, EngineConfig, Outcome};
+    use nested_active_time::engine::{Engine, EngineConfig};
 
+    let opts = solver_options(args)?;
     let mut instances = Vec::new();
     for path in args.iter().take_while(|a| !a.starts_with("--")) {
         instances.push(load(path)?);
@@ -271,26 +305,6 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         return Err("batch needs instance files and/or --count N".into());
     }
 
-    let mut opts = SolverOptions::exact();
-    if has_flag(args, "--float") {
-        opts.backend = LpBackend::Float;
-    }
-    if has_flag(args, "--snap") {
-        opts.backend = LpBackend::FloatThenSnap;
-    }
-    if has_flag(args, "--polish") {
-        opts.polish = true;
-    }
-    if let Some(mode) = flag_value(args, "--shard") {
-        opts.shard = mode.parse::<ShardMode>()?;
-    }
-    if let Some(mode) = flag_value(args, "--precision") {
-        opts.precision = mode.parse::<PrecisionMode>()?;
-    }
-    if let Some(path) = flag_value(args, "--lp-path") {
-        opts.lp_path = path.parse::<LpPath>()?;
-    }
-
     let mut cfg = EngineConfig::default()
         .workers(parse_num(args, "--workers", 0usize)?)
         .cache(!has_flag(args, "--no-cache"));
@@ -312,126 +326,44 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     }
 
     if has_flag(args, "--check") {
-        let sequential = Engine::new(EngineConfig::default().workers(1).cache(false))
-            .solve_batch(&instances, &opts);
-        for (i, (par, seq)) in batch.outcomes.iter().zip(&sequential.outcomes).enumerate() {
-            let same = match (par, seq) {
-                (Outcome::Solved(a), Outcome::Solved(b)) => a.result.schedule == b.result.schedule,
-                (Outcome::Infeasible, Outcome::Infeasible) => true,
-                // A timeout is inherently racy; don't fail the check on it.
-                (Outcome::TimedOut, _) | (_, Outcome::TimedOut) => true,
-                _ => false,
-            };
-            if !same {
-                return Err(format!(
-                    "instance {i}: parallel outcome {} != sequential {}",
-                    par.label(),
-                    seq.label()
-                ));
-            }
-        }
-        eprintln!(
-            "check: parallel results identical to sequential on {} instances",
-            instances.len()
-        );
+        let n = instances.len();
+        let run = |opts: &SolverOptions, workers: usize| {
+            Engine::new(EngineConfig::default().workers(workers).cache(false))
+                .solve_batch(&instances, opts)
+                .outcomes
+        };
+        let schedules = |a: &SolveResult, b: &SolveResult| a.schedule == b.schedule;
+        let objectives = |a: &SolveResult, b: &SolveResult| {
+            a.stats.opened_slots == b.stats.opened_slots
+                && a.schedule.active_time() == b.schedule.active_time()
+        };
+        let bit_identical =
+            |a: &SolveResult, b: &SolveResult| a.schedule == b.schedule && a.z == b.z;
+
+        compare_outcomes(("parallel", &batch.outcomes), ("sequential", &run(&opts, 1)), schedules)?;
+        eprintln!("check: parallel results identical to sequential on {n} instances");
 
         // Shard equivalence: forcing root decomposition must not change
         // the objective relative to the monolithic solve.
-        let mut forced = opts.clone();
-        forced.shard = ShardMode::Force;
-        let mut off = opts.clone();
-        off.shard = ShardMode::Off;
-        let fb = Engine::new(EngineConfig::default().cache(false)).solve_batch(&instances, &forced);
-        let ob = Engine::new(EngineConfig::default().workers(1).cache(false))
-            .solve_batch(&instances, &off);
-        for (i, (f, o)) in fb.outcomes.iter().zip(&ob.outcomes).enumerate() {
-            let same = match (f, o) {
-                (Outcome::Solved(a), Outcome::Solved(b)) => {
-                    a.result.stats.opened_slots == b.result.stats.opened_slots
-                        && a.result.schedule.active_time() == b.result.schedule.active_time()
-                }
-                (Outcome::Infeasible, Outcome::Infeasible) => true,
-                (Outcome::TimedOut, _) | (_, Outcome::TimedOut) => true,
-                _ => false,
-            };
-            if !same {
-                return Err(format!(
-                    "instance {i}: shard=force outcome {} diverges from shard=off {}",
-                    f.label(),
-                    o.label()
-                ));
-            }
-        }
-        eprintln!(
-            "check: shard=force objectives identical to shard=off on {} instances",
-            instances.len()
-        );
+        let forced = SolverOptions { shard: ShardMode::Force, ..opts.clone() };
+        let off = SolverOptions { shard: ShardMode::Off, ..opts.clone() };
+        compare_outcomes(
+            ("shard=force", &run(&forced, 0)),
+            ("shard=off", &run(&off, 1)),
+            objectives,
+        )?;
+        eprintln!("check: shard=force objectives identical to shard=off on {n} instances");
 
-        // Precision equivalence: the hybrid f64-first LP pipeline must
-        // yield bit-identical schedules to the pure exact simplex.
-        if opts.backend == LpBackend::Exact {
-            let mut hybrid = opts.clone();
-            hybrid.precision = PrecisionMode::Hybrid;
-            let mut pure = opts.clone();
-            pure.precision = PrecisionMode::Exact;
-            let hb =
-                Engine::new(EngineConfig::default().cache(false)).solve_batch(&instances, &hybrid);
-            let pb =
-                Engine::new(EngineConfig::default().cache(false)).solve_batch(&instances, &pure);
-            for (i, (h, p)) in hb.outcomes.iter().zip(&pb.outcomes).enumerate() {
-                let same = match (h, p) {
-                    (Outcome::Solved(a), Outcome::Solved(b)) => {
-                        a.result.schedule == b.result.schedule && a.result.z == b.result.z
-                    }
-                    (Outcome::Infeasible, Outcome::Infeasible) => true,
-                    (Outcome::TimedOut, _) | (_, Outcome::TimedOut) => true,
-                    _ => false,
-                };
-                if !same {
-                    return Err(format!(
-                        "instance {i}: precision=hybrid outcome {} diverges from precision=exact {}",
-                        h.label(),
-                        p.label()
-                    ));
-                }
+        // LP equivalence: the tree DP and the verified hybrid simplex
+        // must reproduce the pure rational simplex bit for bit.
+        if opts.lp != LpStrategy::Float {
+            let exact = run(&opts.clone().with_lp(LpStrategy::Exact), 0);
+            for lp in [LpStrategy::Auto, LpStrategy::Simplex] {
+                let fast = run(&opts.clone().with_lp(lp), 0);
+                let label = format!("lp={}", lp.label());
+                compare_outcomes((&label, &fast), ("lp=exact", &exact), bit_identical)?;
+                eprintln!("check: {label} schedules bit-identical to lp=exact on {n} instances");
             }
-            eprintln!(
-                "check: precision=hybrid schedules bit-identical to precision=exact on {} instances",
-                instances.len()
-            );
-
-            // LP-path equivalence: the combinatorial tree fast path
-            // (with simplex fallback) must yield bit-identical
-            // schedules and open counts to the pure simplex path.
-            let mut tree_auto = opts.clone();
-            tree_auto.lp_path = LpPath::Auto;
-            let mut simplex = opts.clone();
-            simplex.lp_path = LpPath::Simplex;
-            let tb = Engine::new(EngineConfig::default().cache(false))
-                .solve_batch(&instances, &tree_auto);
-            let sb =
-                Engine::new(EngineConfig::default().cache(false)).solve_batch(&instances, &simplex);
-            for (i, (t, s)) in tb.outcomes.iter().zip(&sb.outcomes).enumerate() {
-                let same = match (t, s) {
-                    (Outcome::Solved(a), Outcome::Solved(b)) => {
-                        a.result.schedule == b.result.schedule && a.result.z == b.result.z
-                    }
-                    (Outcome::Infeasible, Outcome::Infeasible) => true,
-                    (Outcome::TimedOut, _) | (_, Outcome::TimedOut) => true,
-                    _ => false,
-                };
-                if !same {
-                    return Err(format!(
-                        "instance {i}: lp-path=auto outcome {} diverges from lp-path=simplex {}",
-                        t.label(),
-                        s.label()
-                    ));
-                }
-            }
-            eprintln!(
-                "check: lp-path=auto schedules bit-identical to lp-path=simplex on {} instances",
-                instances.len()
-            );
         }
     }
 

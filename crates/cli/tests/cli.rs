@@ -58,6 +58,36 @@ fn batch_exit_code_reflects_lost_work() {
     assert!(out.status.success(), "infeasible is a result, not lost work");
 }
 
+#[test]
+fn removed_lp_flags_fail_and_name_the_replacement() {
+    let small = write_instance("lp-flags", &small_instance());
+    let small = small.to_str().unwrap();
+    for args in [
+        vec!["solve", small, "--float"],
+        vec!["solve", small, "--snap"],
+        vec!["solve", small, "--precision", "exact"],
+        vec!["batch", small, "--lp-path", "simplex"],
+        vec!["batch", small, "--precision", "exact", "--check"],
+        vec!["client", "127.0.0.1:1", "solve", small, "--backend", "float"],
+    ] {
+        let out = atsched().args(&args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} must exit nonzero");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--lp"), "{args:?}: stderr names --lp: {stderr}");
+    }
+    for lp in ["auto", "simplex", "exact", "float"] {
+        let out = atsched().args(["solve", small, "--lp", lp]).output().unwrap();
+        assert!(out.status.success(), "--lp {lp}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+    let out = atsched().args(["batch", small, "--lp", "exact", "--check"]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("lp=auto schedules bit-identical to lp=exact"), "{stderr}");
+    assert!(stderr.contains("lp=simplex schedules bit-identical to lp=exact"), "{stderr}");
+    let out = atsched().args(["solve", small, "--lp", "tree"]).output().unwrap();
+    assert!(!out.status.success(), "unknown strategies are refused");
+}
+
 /// Spawn `atsched serve` on an ephemeral port and return the child plus
 /// the address it printed.
 fn spawn_serve(extra: &[&str]) -> (Child, String) {

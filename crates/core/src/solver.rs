@@ -4,13 +4,15 @@
 //! Lemma 3.1 push-down → Algorithm 1 rounding → max-flow schedule
 //! extraction → independent verification.
 //!
-//! Two LP backends are offered. The exact backend solves the LP over big
-//! rationals, so every rounding comparison is decided exactly and the
-//! 9/5 guarantee is unconditional. The `f64` backend is much faster on
-//! large instances; because tiny tableau noise could in principle flip a
-//! comparison at a boundary, the final schedule is *always* re-verified,
-//! and a repair pass (counted in [`SolveStats::repair_opened`], normally
-//! zero) can open additional slots if extraction ever falls short.
+//! One setting, [`SolverOptions::lp`], picks how the LP is solved (see
+//! [`LpStrategy`]). Every strategy but `Float` returns the exact rational
+//! optimum, bit for bit the same one, so every rounding comparison is
+//! decided exactly and the 9/5 guarantee is unconditional. The `f64`
+//! strategy is for approximate sweeps; because tiny tableau noise could
+//! in principle flip a comparison at a boundary, the final schedule is
+//! *always* re-verified, and a repair pass (counted in
+//! [`SolveStats::repair_opened`], normally zero) can open additional
+//! slots if extraction ever falls short.
 
 use crate::canonical::canonicalize;
 use crate::feasibility::{counts_to_slots, extract_assignment};
@@ -26,23 +28,6 @@ use atsched_num::Ratio;
 use atsched_obs as obs;
 use std::fmt;
 use std::time::{Duration, Instant};
-
-/// Which arithmetic the LP + rounding pipeline runs in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LpBackend {
-    /// Exact big-rational simplex (reference path; unconditional 9/5).
-    Exact,
-    /// `f64` simplex with tolerances (fast path for sweeps).
-    Float,
-    /// Hybrid: solve the LP in `f64`, then *rationalize* the solution
-    /// (continued-fraction snapping via
-    /// [`Ratio::from_f64_approx`](atsched_num::Ratio::from_f64_approx))
-    /// and run the transformation + rounding exactly. Falls back to the
-    /// plain float pipeline when the snapped solution fails the exact
-    /// LP-feasibility re-check. Near-float speed with exact rounding
-    /// comparisons.
-    FloatThenSnap,
-}
 
 /// Whether a driver may split an instance at the forest roots and solve
 /// the pieces independently (see `crate::decompose`).
@@ -90,97 +75,53 @@ impl std::str::FromStr for ShardMode {
     }
 }
 
-/// Arithmetic discipline for the exact backend's LP stage.
+/// How the strengthened LP is solved.
 ///
-/// Orthogonal to [`LpBackend`]: only consulted when `backend` is
-/// [`LpBackend::Exact`] (the float backends are approximate by design
-/// and ignore it). Every exact-backend solve honours it, including the
-/// dirty shards of an incremental session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrecisionMode {
-    /// f64-first with exact verification (the default): solve the LP in
-    /// `f64`, re-derive the final basis exactly, certify optimality and
-    /// uniqueness, and fall back to the exact simplex on any failure.
-    /// Bit-identical to [`PrecisionMode::Exact`] in every case — see
-    /// [`atsched_lp::Model::solve_hybrid`].
-    Hybrid,
-    /// Pure big-rational simplex (the reference discipline).
-    Exact,
-    /// f64-first with exact re-derivation but *without* the optimality
-    /// certificate: a float mis-pivot could leave the (still exactly
-    /// rational, still LP-feasible) solution suboptimal. For throwaway
-    /// sweeps; the final schedule is re-verified regardless.
-    F64Unchecked,
-}
-
-impl PrecisionMode {
-    /// Stable lowercase label (`hybrid` / `exact` / `f64-unchecked`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            PrecisionMode::Hybrid => "hybrid",
-            PrecisionMode::Exact => "exact",
-            PrecisionMode::F64Unchecked => "f64-unchecked",
-        }
-    }
-}
-
-impl std::str::FromStr for PrecisionMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "hybrid" => Ok(PrecisionMode::Hybrid),
-            "exact" => Ok(PrecisionMode::Exact),
-            "f64-unchecked" => Ok(PrecisionMode::F64Unchecked),
-            other => Err(format!("unknown precision mode '{other}' (hybrid|exact|f64-unchecked)")),
-        }
-    }
-}
-
-/// Which solver attacks the strengthened LP on the exact backend.
-///
-/// Orthogonal to [`PrecisionMode`]: `precision` picks the *arithmetic*
-/// of the simplex stage, `lp_path` picks whether simplex runs at all.
-/// The combinatorial tree path ([`crate::treelp`]) solves the LP
-/// directly on the laminar forest and is bit-identical to simplex
-/// whenever it answers; it declines (with a typed
-/// [`TreeDecline`](crate::treelp::TreeDecline) reason) on shapes it
-/// cannot certify. Only consulted when `backend` is
-/// [`LpBackend::Exact`]; like `precision`, it applies to every
-/// exact-backend solve, session amends included.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LpPath {
-    /// Try the tree path first, silently fall back to simplex on a
-    /// decline (the default). Counters record the split:
+/// `Auto`, `Simplex` and `Exact` all return the exact rational optimum
+/// the pure rational simplex would, bit for bit; they differ only in
+/// speed. `Float` is approximate and is meant for sweeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum LpStrategy {
+    /// The combinatorial tree DP ([`crate::treelp`]), then the verified
+    /// f64-first simplex, then the exact simplex (the default). The tree
+    /// DP declines, with a typed [`TreeDecline`](crate::treelp::TreeDecline)
+    /// reason, on shapes it cannot certify; counters record the split as
     /// `lp.tree_solved` vs `lp.tree_fallback.<reason>`.
+    #[default]
     Auto,
-    /// Tree path only: a decline is surfaced as
-    /// [`SolveError::TreeDeclined`]. For coverage tests and diagnostics.
-    Tree,
-    /// Simplex only: never attempt the tree path.
+    /// The verified f64-first simplex, falling back to the exact simplex
+    /// (see [`atsched_lp::Model::solve_hybrid`]). No tree attempt.
     Simplex,
+    /// The pure big-rational simplex: the reference the oracles compare
+    /// against.
+    Exact,
+    /// The plain `f64` pipeline: LP, transform and rounding in floating
+    /// point (fast path for sweeps).
+    Float,
 }
 
-impl LpPath {
-    /// Stable lowercase label (`auto` / `tree` / `simplex`).
+impl LpStrategy {
+    /// Stable lowercase label (`auto` / `simplex` / `exact` / `float`).
     pub fn label(&self) -> &'static str {
         match self {
-            LpPath::Auto => "auto",
-            LpPath::Tree => "tree",
-            LpPath::Simplex => "simplex",
+            LpStrategy::Auto => "auto",
+            LpStrategy::Simplex => "simplex",
+            LpStrategy::Exact => "exact",
+            LpStrategy::Float => "float",
         }
     }
 }
 
-impl std::str::FromStr for LpPath {
+impl std::str::FromStr for LpStrategy {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "auto" => Ok(LpPath::Auto),
-            "tree" => Ok(LpPath::Tree),
-            "simplex" => Ok(LpPath::Simplex),
-            other => Err(format!("unknown lp path '{other}' (auto|tree|simplex)")),
+            "auto" => Ok(LpStrategy::Auto),
+            "simplex" => Ok(LpStrategy::Simplex),
+            "exact" => Ok(LpStrategy::Exact),
+            "float" => Ok(LpStrategy::Float),
+            other => Err(format!("unknown lp strategy '{other}' (auto|simplex|exact|float)")),
         }
     }
 }
@@ -188,8 +129,8 @@ impl std::str::FromStr for LpPath {
 /// Solver configuration.
 #[derive(Debug, Clone)]
 pub struct SolverOptions {
-    /// Arithmetic backend.
-    pub backend: LpBackend,
+    /// How the LP is solved (default [`LpStrategy::Auto`]).
+    pub lp: LpStrategy,
     /// Drop open-but-empty slots from the final schedule (default true).
     pub compact: bool,
     /// Include the ceiling constraints (7)/(8) in the LP (default true —
@@ -212,51 +153,34 @@ pub struct SolverOptions {
     /// engine, the `Solve` facade, the CLI and the serve layer).
     /// [`solve_nested`] ignores this field.
     pub shard: ShardMode,
-    /// Arithmetic discipline for the exact backend's LP stage (ignored
-    /// by the float backends). The [`PrecisionMode::Hybrid`] default is
-    /// bit-identical to [`PrecisionMode::Exact`], just faster.
-    pub precision: PrecisionMode,
-    /// LP solver selection for the exact backend: the combinatorial
-    /// tree path, simplex, or try-tree-then-fall-back (the
-    /// [`LpPath::Auto`] default). Bit-identical in every case.
-    pub lp_path: LpPath,
 }
 
 impl SolverOptions {
-    /// Exact reference configuration (the paper's algorithm verbatim).
+    /// The paper's algorithm verbatim, under [`LpStrategy::Auto`].
     ///
-    /// Ships with [`PrecisionMode::Hybrid`]: the LP runs f64-first but
-    /// every answer is exactly re-derived and certified (or the exact
-    /// simplex is rerun), so results are bit-identical to
-    /// [`PrecisionMode::Exact`] while typically much faster.
+    /// Every LP answer is exact: the tree DP and the verified f64-first
+    /// simplex return the pure rational simplex's optimum bit for bit
+    /// ([`LpStrategy::Exact`]), typically much faster.
     pub fn exact() -> Self {
         SolverOptions {
-            backend: LpBackend::Exact,
+            lp: LpStrategy::Auto,
             compact: true,
             use_ceiling: true,
             polish: false,
             round_choice: crate::rounding::RoundingChoice::LargestFraction,
             ceiling_depth: 3,
             shard: ShardMode::Auto,
-            precision: PrecisionMode::Hybrid,
-            lp_path: LpPath::Auto,
         }
     }
 
     /// Fast floating-point configuration.
     pub fn float() -> Self {
-        SolverOptions { backend: LpBackend::Float, ..SolverOptions::exact() }
+        SolverOptions::exact().with_lp(LpStrategy::Float)
     }
 
-    /// Pick the arithmetic discipline for the exact backend's LP stage.
-    pub fn with_precision(mut self, precision: PrecisionMode) -> Self {
-        self.precision = precision;
-        self
-    }
-
-    /// Pick the LP solver path for the exact backend.
-    pub fn with_lp_path(mut self, lp_path: LpPath) -> Self {
-        self.lp_path = lp_path;
+    /// Pick how the LP is solved.
+    pub fn with_lp(mut self, lp: LpStrategy) -> Self {
+        self.lp = lp;
         self
     }
 
@@ -294,9 +218,8 @@ pub struct StageTimings {
     /// Window-forest construction + canonical transformation + OPT
     /// lower-bound oracle.
     pub canonicalize: Duration,
-    /// Building and solving the strengthened LP (both attempts, for the
-    /// snap backend; a declined tree-path attempt plus the simplex that
-    /// follows it, on [`LpPath::Auto`]).
+    /// Building and solving the strengthened LP (a declined tree-path
+    /// attempt plus the simplex that follows it, on [`LpStrategy::Auto`]).
     pub lp: Duration,
     /// Lemma 3.1 push-down.
     pub transform: Duration,
@@ -324,7 +247,7 @@ pub struct SolveStats {
     pub nodes_canonical: usize,
     /// LP optimum (`Σ x`), as `f64` for reporting.
     pub lp_objective: f64,
-    /// LP optimum rendered exactly (exact backend only).
+    /// LP optimum rendered exactly (every strategy but `Float`).
     pub lp_objective_exact: Option<String>,
     /// Push-down moves performed by the Lemma 3.1 transformation.
     pub transform_moves: usize,
@@ -366,12 +289,8 @@ pub enum SolveError {
     Instance(crate::instance::InstanceError),
     /// The instance (equivalently the LP) is infeasible.
     Infeasible,
-    /// The LP solver gave up (possible only on the float backend).
+    /// The LP solver gave up (possible only under [`LpStrategy::Float`]).
     Lp(atsched_lp::LpError),
-    /// The combinatorial tree path declined the instance and fallback
-    /// was forbidden ([`LpPath::Tree`] only — [`LpPath::Auto`] falls
-    /// back to simplex instead of surfacing this).
-    TreeDeclined(crate::treelp::TreeDecline),
 }
 
 impl fmt::Display for SolveError {
@@ -380,7 +299,6 @@ impl fmt::Display for SolveError {
             SolveError::Instance(e) => write!(f, "{e}"),
             SolveError::Infeasible => write!(f, "instance is infeasible"),
             SolveError::Lp(e) => write!(f, "{e}"),
-            SolveError::TreeDeclined(d) => write!(f, "tree LP path declined: {d}"),
         }
     }
 }
@@ -415,7 +333,7 @@ pub fn solve_nested(inst: &Instance, opts: &SolverOptions) -> Result<SolveResult
         });
     }
     // Outer span: covers the whole pipeline (dropped when the chosen
-    // backend returns). Stage spans nest inside it.
+    // pipeline returns). Stage spans nest inside it.
     let _solve_span = obs::Span::enter("solve");
     let stage = Instant::now();
     let span = obs::Span::enter("canonicalize");
@@ -426,77 +344,43 @@ pub fn solve_nested(inst: &Instance, opts: &SolverOptions) -> Result<SolveResult
     let mut timings = StageTimings { canonicalize: stage.elapsed(), ..StageTimings::default() };
     drop(span);
 
-    match opts.backend {
-        LpBackend::Exact => {
-            // Combinatorial fast path: solve the LP directly on the
-            // laminar forest when the shape allows a certified answer.
-            if opts.lp_path != LpPath::Simplex {
-                let stage = Instant::now();
-                match crate::treelp::solve_tree(
-                    &canon,
-                    inst,
-                    &bounds,
-                    opts.use_ceiling,
-                    opts.ceiling_depth,
-                ) {
-                    Ok(crate::treelp::TreeOutcome::Solved(sol)) => {
-                        timings.lp = stage.elapsed();
-                        obs::histogram_record("span.lp.ms", timings.lp.as_secs_f64() * 1e3);
-                        obs::counter_add("lp.tree_solved", 1);
-                        return finish_pipeline::<Ratio>(
-                            inst,
-                            canon,
-                            nodes_original,
-                            opts,
-                            sol,
-                            timings,
-                        );
-                    }
-                    Ok(crate::treelp::TreeOutcome::Infeasible) => {
-                        return Err(SolveError::Infeasible)
-                    }
-                    Err(decline) => {
-                        match decline.label() {
-                            "nonunique" => obs::counter_add("lp.tree_fallback.nonunique", 1),
-                            "flow" => obs::counter_add("lp.tree_fallback.flow", 1),
-                            "scale" => obs::counter_add("lp.tree_fallback.scale", 1),
-                            _ => obs::counter_add("lp.tree_fallback.overflow", 1),
-                        }
-                        // The declined attempt is LP work: it opens the
-                        // simplex pipeline's `lp` stage, and gets its own
-                        // span sum so the `lp` span stays simplex-only.
-                        timings.lp = stage.elapsed();
-                        obs::histogram_record(
-                            "span.lp_tree_declined.ms",
-                            timings.lp.as_secs_f64() * 1e3,
-                        );
-                        if opts.lp_path == LpPath::Tree {
-                            return Err(SolveError::TreeDeclined(decline));
-                        }
-                        // Auto: fall through to the simplex pipelines.
-                    }
-                }
+    // Combinatorial fast path: solve the LP directly on the laminar
+    // forest when the shape allows a certified answer.
+    if opts.lp == LpStrategy::Auto {
+        let stage = Instant::now();
+        match crate::treelp::solve_tree(&canon, inst, &bounds, opts.use_ceiling, opts.ceiling_depth)
+        {
+            Ok(crate::treelp::TreeOutcome::Solved(sol)) => {
+                timings.lp = stage.elapsed();
+                obs::histogram_record("span.lp.ms", timings.lp.as_secs_f64() * 1e3);
+                obs::counter_add("lp.tree_solved", 1);
+                return finish_pipeline::<Ratio>(inst, canon, nodes_original, opts, sol, timings);
             }
-            match opts.precision {
-                PrecisionMode::Exact => {
-                    run_pipeline::<Ratio>(inst, canon, nodes_original, &bounds, opts, timings)
+            Ok(crate::treelp::TreeOutcome::Infeasible) => return Err(SolveError::Infeasible),
+            Err(decline) => {
+                match decline.label() {
+                    "nonunique" => obs::counter_add("lp.tree_fallback.nonunique", 1),
+                    "flow" => obs::counter_add("lp.tree_fallback.flow", 1),
+                    "scale" => obs::counter_add("lp.tree_fallback.scale", 1),
+                    _ => obs::counter_add("lp.tree_fallback.overflow", 1),
                 }
-                PrecisionMode::Hybrid | PrecisionMode::F64Unchecked => run_hybrid_pipeline(
-                    inst,
-                    canon,
-                    nodes_original,
-                    &bounds,
-                    opts,
-                    timings,
-                    opts.precision == PrecisionMode::Hybrid,
-                ),
+                // The declined attempt is LP work: it opens the simplex
+                // pipeline's `lp` stage, and gets its own span sum so the
+                // `lp` span stays simplex-only.
+                timings.lp = stage.elapsed();
+                obs::histogram_record("span.lp_tree_declined.ms", timings.lp.as_secs_f64() * 1e3);
             }
         }
-        LpBackend::Float => {
+    }
+    match opts.lp {
+        LpStrategy::Auto | LpStrategy::Simplex => {
+            run_hybrid_pipeline(inst, canon, nodes_original, &bounds, opts, timings)
+        }
+        LpStrategy::Exact => {
+            run_pipeline::<Ratio>(inst, canon, nodes_original, &bounds, opts, timings)
+        }
+        LpStrategy::Float => {
             run_pipeline::<f64>(inst, canon, nodes_original, &bounds, opts, timings)
-        }
-        LpBackend::FloatThenSnap => {
-            run_snap_pipeline(inst, canon, nodes_original, &bounds, opts, timings)
         }
     }
 }
@@ -507,9 +391,8 @@ pub fn solve_nested(inst: &Instance, opts: &SolverOptions) -> Result<SolveResult
 /// a millisecond and off the critical path of larger solves.
 const LEMMA41_JOB_LIMIT: usize = 12;
 
-/// Exact backend under [`PrecisionMode::Hybrid`] /
-/// [`PrecisionMode::F64Unchecked`]: the LP stage runs the f64-first,
-/// exactly-verified pipeline ([`NestedLp::solve_hybrid`]); everything
+/// [`LpStrategy::Simplex`], and [`LpStrategy::Auto`] after a tree
+/// decline: the LP stage runs the f64-first, exactly-verified pipeline ([`NestedLp::solve_hybrid`]); everything
 /// downstream is the ordinary exact pipeline on the re-derived rational
 /// solution. On small instances the rounded integral certificate is
 /// additionally cross-checked against the paper's Lemma 4.1
@@ -523,7 +406,6 @@ fn run_hybrid_pipeline(
     bounds: &opt23::OptBounds,
     opts: &SolverOptions,
     mut timings: StageTimings,
-    certify: bool,
 ) -> Result<SolveResult, SolveError> {
     let incoming = timings;
     let stage = Instant::now();
@@ -533,7 +415,7 @@ fn run_hybrid_pipeline(
         let deep = crate::opt23::compute_deep(&canon, inst, opts.ceiling_depth);
         crate::lp_model::add_deep_ceilings(&mut lp, &canon, &deep);
     }
-    let (sol, _outcome) = lp.solve_hybrid(certify).map_err(|e| match e {
+    let (sol, _outcome) = lp.solve_hybrid().map_err(|e| match e {
         NestedLpError::Infeasible => SolveError::Infeasible,
         NestedLpError::Solver(e) => SolveError::Lp(e),
     })?;
@@ -541,8 +423,7 @@ fn run_hybrid_pipeline(
     drop(lp_span);
 
     let result = finish_pipeline::<Ratio>(inst, canon, nodes_original, opts, sol, timings)?;
-    if certify
-        && inst.num_jobs() <= LEMMA41_JOB_LIMIT
+    if inst.num_jobs() <= LEMMA41_JOB_LIMIT
         && crate::certify::check_lemma_4_1(&result.forest, inst, &result.z, LEMMA41_JOB_LIMIT)
             .is_err()
     {
@@ -550,63 +431,6 @@ fn run_hybrid_pipeline(
         return run_pipeline::<Ratio>(inst, result.forest, nodes_original, bounds, opts, incoming);
     }
     Ok(result)
-}
-
-/// Hybrid backend: float LP, rationalized solution, exact rounding.
-fn run_snap_pipeline(
-    inst: &Instance,
-    canon: Forest,
-    nodes_original: usize,
-    bounds: &opt23::OptBounds,
-    opts: &SolverOptions,
-    mut timings: StageTimings,
-) -> Result<SolveResult, SolveError> {
-    let stage = Instant::now();
-    let lp_span = obs::Span::enter("lp");
-    let mut lp = build_opts::<f64>(&canon, inst, bounds, opts.use_ceiling);
-    if opts.use_ceiling && opts.ceiling_depth > 3 {
-        let deep = crate::opt23::compute_deep(&canon, inst, opts.ceiling_depth);
-        crate::lp_model::add_deep_ceilings(&mut lp, &canon, &deep);
-    }
-    let sol_f = lp.solve().map_err(|e| match e {
-        NestedLpError::Infeasible => SolveError::Infeasible,
-        NestedLpError::Solver(e) => SolveError::Lp(e),
-    })?;
-    timings.lp = stage.elapsed();
-
-    // Rationalize. Simplex vertices of these LPs have modest
-    // denominators; 10^6 comfortably covers them while still absorbing
-    // float noise.
-    const MAX_DEN: u64 = 1_000_000;
-    let snap = |v: &f64| Ratio::from_f64_approx(*v, MAX_DEN);
-    let snapped: Option<crate::lp_model::FractionalSolution<Ratio>> = (|| {
-        let x: Option<Vec<Ratio>> = sol_f.x.iter().map(snap).collect();
-        let x = x?;
-        let mut y: Vec<Vec<(usize, Ratio)>> = Vec::with_capacity(sol_f.y.len());
-        for per_node in &sol_f.y {
-            let mut row = Vec::with_capacity(per_node.len());
-            for (gid, v) in per_node {
-                row.push((*gid, snap(v)?));
-            }
-            y.push(row);
-        }
-        let objective: Ratio = x.iter().sum();
-        Some(crate::lp_model::FractionalSolution { x, y, objective })
-    })();
-
-    let stage = Instant::now();
-    if let Some(sol_q) = snapped {
-        let groups = crate::lp_model::group_jobs(&canon, inst);
-        if sol_q.check(&canon, inst, &groups).is_ok() {
-            timings.lp += stage.elapsed();
-            drop(lp_span);
-            return finish_pipeline::<Ratio>(inst, canon, nodes_original, opts, sol_q, timings);
-        }
-    }
-    // Snap failed LP feasibility: fall back to the plain float pipeline.
-    timings.lp += stage.elapsed();
-    drop(lp_span);
-    finish_pipeline::<f64>(inst, canon, nodes_original, opts, sol_f, timings)
 }
 
 fn run_pipeline<S: Scalar>(
@@ -910,35 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn snap_backend_matches_exact() {
-        let cases: Cases = vec![
-            (2, vec![(0, 8, 2), (1, 4, 1), (5, 7, 1)]),
-            (3, vec![(0, 2, 1); 4]),
-            (2, vec![(0, 10, 2), (1, 6, 2), (2, 5, 1), (7, 9, 1)]),
-            (2, vec![(0, 12, 3), (1, 6, 2), (2, 5, 1), (7, 11, 2)]),
-        ];
-        for (g, jobs) in cases {
-            let i = inst(g, jobs.clone());
-            let exact = solve_nested(&i, &SolverOptions::exact()).unwrap();
-            let snap = solve_nested(
-                &i,
-                &SolverOptions { backend: LpBackend::FloatThenSnap, ..SolverOptions::exact() },
-            )
-            .unwrap();
-            snap.schedule.verify(&i).unwrap();
-            assert!((exact.stats.lp_objective - snap.stats.lp_objective).abs() < 1e-6, "{jobs:?}");
-            assert!(snap.stats.opened_slots as f64 <= 1.8 * snap.stats.lp_objective + 1e-6);
-        }
-    }
-
-    #[test]
-    fn snap_backend_reports_infeasible() {
-        let i = inst(1, vec![(0, 2, 1); 3]);
-        let opts = SolverOptions { backend: LpBackend::FloatThenSnap, ..SolverOptions::exact() };
-        assert_eq!(solve_nested(&i, &opts).unwrap_err(), SolveError::Infeasible);
-    }
-
-    #[test]
     fn stats_are_consistent() {
         let r = solve_ok(2, vec![(0, 12, 3), (1, 6, 2), (2, 5, 1), (7, 11, 2)]);
         assert_eq!(r.stats.opened_slots, r.z.iter().sum::<i64>());
@@ -948,11 +743,12 @@ mod tests {
     }
 
     #[test]
-    fn precision_mode_labels_round_trip() {
-        for mode in [PrecisionMode::Hybrid, PrecisionMode::Exact, PrecisionMode::F64Unchecked] {
-            assert_eq!(mode.label().parse::<PrecisionMode>().unwrap(), mode);
+    fn lp_strategy_labels_round_trip() {
+        for lp in [LpStrategy::Auto, LpStrategy::Simplex, LpStrategy::Exact, LpStrategy::Float] {
+            assert_eq!(lp.label().parse::<LpStrategy>().unwrap(), lp);
         }
-        assert!("float".parse::<PrecisionMode>().is_err());
+        assert!("tree".parse::<LpStrategy>().is_err());
+        assert_eq!(SolverOptions::default().lp, LpStrategy::Auto);
     }
 
     #[test]
@@ -967,35 +763,28 @@ mod tests {
         ];
         for (g, jobs) in cases {
             let i = inst(g, jobs.clone());
-            let pure = SolverOptions::exact().with_precision(PrecisionMode::Exact);
-            let e = solve_nested(&i, &pure).unwrap();
-            let h = solve_nested(&i, &SolverOptions::exact()).unwrap();
+            let e = solve_nested(&i, &SolverOptions::exact().with_lp(LpStrategy::Exact)).unwrap();
+            let h = solve_nested(&i, &SolverOptions::exact().with_lp(LpStrategy::Simplex)).unwrap();
             assert_eq!(h.z, e.z, "{jobs:?}");
             assert_eq!(h.schedule.slots, e.schedule.slots, "{jobs:?}");
             assert_eq!(h.schedule.assignment, e.schedule.assignment, "{jobs:?}");
             assert_eq!(h.stats.lp_objective_exact, e.stats.lp_objective_exact, "{jobs:?}");
             assert_eq!(h.stats.opened_slots, e.stats.opened_slots, "{jobs:?}");
-
-            // Unchecked mode skips the certificate but still re-derives
-            // exactly; the schedule must verify in every case.
-            let unchecked = SolverOptions::exact().with_precision(PrecisionMode::F64Unchecked);
-            let u = solve_nested(&i, &unchecked).unwrap();
-            u.schedule.verify(&i).unwrap();
-            assert!(u.stats.lp_objective_exact.is_some(), "unchecked path stays rational");
         }
     }
 
     #[test]
-    fn hybrid_precision_reports_infeasible() {
+    fn every_strategy_reports_infeasible() {
         let i = inst(1, vec![(0, 2, 1); 3]);
-        assert_eq!(solve_nested(&i, &SolverOptions::exact()).unwrap_err(), SolveError::Infeasible);
-        let unchecked = SolverOptions::exact().with_precision(PrecisionMode::F64Unchecked);
-        assert_eq!(solve_nested(&i, &unchecked).unwrap_err(), SolveError::Infeasible);
+        for lp in [LpStrategy::Auto, LpStrategy::Simplex, LpStrategy::Exact, LpStrategy::Float] {
+            let opts = SolverOptions::exact().with_lp(lp);
+            assert_eq!(solve_nested(&i, &opts).unwrap_err(), SolveError::Infeasible, "{lp:?}");
+        }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-        /// Hybrid precision ≡ pure exact on random laminar instances:
+        /// `Simplex` (verified hybrid) ≡ `Exact` on random laminar instances:
         /// same z-vector, same slots, same assignment, same exact LP
         /// objective — bit for bit. (Generator shape borrowed from the
         /// opt23 oracle test.)
@@ -1016,8 +805,9 @@ mod tests {
             }
             let i = inst(g, jobs);
             proptest::prop_assume!(i.check_laminar().is_ok());
-            let pure = SolverOptions::exact().with_precision(PrecisionMode::Exact);
-            match (solve_nested(&i, &SolverOptions::exact()), solve_nested(&i, &pure)) {
+            let hybrid = SolverOptions::exact().with_lp(LpStrategy::Simplex);
+            let pure = SolverOptions::exact().with_lp(LpStrategy::Exact);
+            match (solve_nested(&i, &hybrid), solve_nested(&i, &pure)) {
                 (Ok(h), Ok(e)) => {
                     proptest::prop_assert_eq!(h.z, e.z);
                     proptest::prop_assert_eq!(h.schedule.slots, e.schedule.slots);

@@ -614,7 +614,7 @@ mod tests {
 
     #[test]
     fn timeout_yields_timed_out_without_affecting_neighbors() {
-        // An instance the exact backend cannot finish within the budget,
+        // An instance the exact LP cannot finish within the budget,
         // surrounded by trivial neighbors that comfortably can.
         let slow = {
             let mut jobs = Vec::new();

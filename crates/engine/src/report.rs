@@ -84,7 +84,8 @@ pub struct CacheReport {
 pub struct StageReport {
     /// Forest build + canonical transformation + OPT oracle.
     pub canonicalize: Percentiles,
-    /// LP build + solve (both attempts on the snap backend).
+    /// LP build + solve (a declined tree attempt plus the simplex that
+    /// follows it, under `LpStrategy::Auto`).
     pub lp: Percentiles,
     /// Lemma 3.1 push-down.
     pub transform: Percentiles,

@@ -20,8 +20,8 @@
 //!    [`solve_nested`] under the session's own [`SolverOptions`] — the
 //!    very path a cold solve takes. With the defaults that is the tree
 //!    DP first, then the verified hybrid simplex, then the exact
-//!    simplex; `precision` and `lp_path` apply exactly as they do to
-//!    [`Engine::solve_one`].
+//!    simplex; the options' [`LpStrategy`](atsched_core::solver::LpStrategy)
+//!    applies exactly as it does to [`Engine::solve_one`].
 //!
 //! The invariant is absolute: **any amend sequence yields exactly the
 //! result a cold solve of the final instance would**. Layers 1 and 2 are

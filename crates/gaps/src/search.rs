@@ -11,7 +11,7 @@
 
 use atsched_baselines::exact::nested_opt;
 use atsched_core::instance::Instance;
-use atsched_core::solver::{solve_nested, LpBackend, SolverOptions};
+use atsched_core::solver::{solve_nested, SolverOptions};
 use atsched_workloads::generators::{random_laminar, LaminarConfig};
 
 /// Search configuration.
@@ -62,8 +62,7 @@ pub fn search_tree_lp_gap(cfg: &SearchConfig) -> Vec<GapWitness> {
                 child_percent: 65,
             };
             let inst = random_laminar(&gen_cfg, seed);
-            let float = SolverOptions { backend: LpBackend::Float, ..SolverOptions::exact() };
-            let Ok(sol) = solve_nested(&inst, &float) else { continue };
+            let Ok(sol) = solve_nested(&inst, &SolverOptions::float()) else { continue };
             let lp = sol.stats.lp_objective;
             let Some(opt) = nested_opt(&inst, lp.ceil() as i64) else { continue };
             let opt = opt.active_time() as i64;

@@ -18,6 +18,7 @@
 use atsched_core::delta::JobDelta;
 use atsched_core::instance::{Instance, Job};
 use atsched_core::schedule::Schedule;
+use atsched_core::solver::LpStrategy;
 use atsched_engine::{EngineTotals, Percentiles};
 use atsched_obs::RegistrySnapshot;
 use serde::de::{from_value, Deserializer};
@@ -180,13 +181,29 @@ pub struct Request {
     pub instances: Option<Vec<Instance>>,
     /// Solving path: `auto` | `nested` | `general` | `greedy` (default `auto`).
     pub method: Option<String>,
-    /// LP backend: `exact` | `float` | `snap` (default `exact`).
+    /// Legacy LP field, one of three that together select the server's
+    /// [`LpStrategy`] (write them with [`Request::with_lp`]). The server
+    /// reads them in this order and the first one that names a
+    /// strategy wins; all absent means `auto`:
+    ///
+    /// | field       | value                     | strategy    |
+    /// |-------------|---------------------------|-------------|
+    /// | `backend`   | `float`                   | `float`     |
+    /// | `backend`   | `exact`, `snap`           | (no choice) |
+    /// | `precision` | `exact`                   | `exact`     |
+    /// | `precision` | `hybrid`, `f64-unchecked` | (no choice) |
+    /// | `lp_path`   | `simplex`                 | `simplex`   |
+    /// | `lp_path`   | `auto`, `tree`            | (no choice) |
+    ///
+    /// So `snap` and `f64-unchecked` run the default, and `tree` falls
+    /// back to the simplex on a decline instead of failing. Any other
+    /// value is a `bad_request`.
     pub backend: Option<String>,
-    /// Arithmetic discipline for the exact backend's LP stage:
-    /// `hybrid` | `exact` | `f64-unchecked` (default `hybrid`).
+    /// Legacy LP field: `hybrid` | `exact` | `f64-unchecked` (see
+    /// [`Request::backend`]).
     pub precision: Option<String>,
-    /// LP solver path for the exact backend:
-    /// `auto` | `tree` | `simplex` (default `auto`).
+    /// Legacy LP field: `auto` | `tree` | `simplex` (see
+    /// [`Request::backend`]).
     pub lp_path: Option<String>,
     /// Enable the slot-closing post-optimization (default false).
     pub polish: Option<bool>,
@@ -304,23 +321,18 @@ impl Request {
         self
     }
 
-    /// Set the LP backend (`exact` | `float` | `snap`).
-    pub fn with_backend(mut self, backend: &str) -> Request {
-        self.backend = Some(backend.to_string());
-        self
-    }
-
-    /// Set the exact backend's arithmetic discipline
-    /// (`hybrid` | `exact` | `f64-unchecked`).
-    pub fn with_precision(mut self, precision: &str) -> Request {
-        self.precision = Some(precision.to_string());
-        self
-    }
-
-    /// Set the exact backend's LP solver path
-    /// (`auto` | `tree` | `simplex`).
-    pub fn with_lp_path(mut self, lp_path: &str) -> Request {
-        self.lp_path = Some(lp_path.to_string());
+    /// Select the LP strategy by writing the one legacy field that
+    /// names it (see [`Request::backend`]), clearing the other two.
+    pub fn with_lp(mut self, lp: LpStrategy) -> Request {
+        let (backend, precision, lp_path) = match lp {
+            LpStrategy::Auto => (None, None, Some("auto")),
+            LpStrategy::Simplex => (None, None, Some("simplex")),
+            LpStrategy::Exact => (None, Some("exact"), None),
+            LpStrategy::Float => (Some("float"), None, None),
+        };
+        self.backend = backend.map(str::to_string);
+        self.precision = precision.map(str::to_string);
+        self.lp_path = lp_path.map(str::to_string);
         self
     }
 
@@ -863,8 +875,7 @@ mod tests {
             .with_id(7)
             .with_method("nested")
             .with_shard("force")
-            .with_precision("exact")
-            .with_lp_path("simplex")
+            .with_lp(LpStrategy::Exact)
             .with_timeout_ms(500);
         let line = serde_json::to_string(&req).unwrap();
         assert!(!line.contains('\n'), "frames are single lines: {line}");

@@ -35,7 +35,7 @@ use crate::router::{HashRing, Msg, ServeLoop};
 use crate::shutdown::ShutdownGate;
 use crate::stats::ServerMetrics;
 use atsched_core::instance::Instance;
-use atsched_core::solver::{LpBackend, SolverOptions};
+use atsched_core::solver::{LpStrategy, SolverOptions};
 use atsched_engine::{with_budget, Engine, EngineConfig, Interrupt, Outcome, SessionId};
 use atsched_net::{ConnId, Reactor, ReactorConfig, Remote};
 use atsched_obs::{Collector, EventLog, RequestEvent, RequestTrace, WindowedCounter};
@@ -588,25 +588,36 @@ pub(crate) fn check_version(req: &Request) -> Option<Response> {
     None
 }
 
+/// Map the legacy wire fields `backend` / `precision` / `lp_path` onto
+/// one [`LpStrategy`], by the table on [`Request::backend`].
+fn lp_strategy(req: &Request) -> Result<LpStrategy, String> {
+    let backend = match req.backend.as_deref() {
+        None | Some("exact" | "snap") => None,
+        Some("float") => Some(LpStrategy::Float),
+        Some(other) => return Err(format!("unknown backend '{other}' (exact|float|snap)")),
+    };
+    let precision = match req.precision.as_deref() {
+        None | Some("hybrid" | "f64-unchecked") => None,
+        Some("exact") => Some(LpStrategy::Exact),
+        Some(other) => {
+            return Err(format!("unknown precision mode '{other}' (hybrid|exact|f64-unchecked)"))
+        }
+    };
+    let lp_path = match req.lp_path.as_deref() {
+        None | Some("auto" | "tree") => None,
+        Some("simplex") => Some(LpStrategy::Simplex),
+        Some(other) => return Err(format!("unknown lp path '{other}' (auto|tree|simplex)")),
+    };
+    Ok(backend.or(precision).or(lp_path).unwrap_or_default())
+}
+
 /// Turn a wire request into validated work, applying server defaults.
 pub(crate) fn validate(req: &Request, default_timeout: Option<Duration>) -> Result<Work, String> {
     let opts = {
-        let mut opts = SolverOptions::exact();
-        opts.backend = match req.backend.as_deref() {
-            None | Some("exact") => LpBackend::Exact,
-            Some("float") => LpBackend::Float,
-            Some("snap") => LpBackend::FloatThenSnap,
-            Some(other) => return Err(format!("unknown backend '{other}' (exact|float|snap)")),
-        };
+        let mut opts = SolverOptions::exact().with_lp(lp_strategy(req)?);
         opts.polish = req.polish.unwrap_or(false);
         if let Some(shard) = req.shard.as_deref() {
             opts.shard = shard.parse()?;
-        }
-        if let Some(precision) = req.precision.as_deref() {
-            opts.precision = precision.parse()?;
-        }
-        if let Some(lp_path) = req.lp_path.as_deref() {
-            opts.lp_path = lp_path.parse()?;
         }
         opts
     };
@@ -1230,12 +1241,8 @@ mod tests {
         let inst = Instance::new(2, vec![atsched_core::instance::Job::new(0, 4, 2)]).unwrap();
         let err = validate(&Request::solve(&inst).with_method("fancy"), None).unwrap_err();
         assert!(err.contains("unknown method"), "{err}");
-        let err = validate(&Request::solve(&inst).with_backend("gpu"), None).unwrap_err();
-        assert!(err.contains("unknown backend"), "{err}");
         let err = validate(&Request::solve(&inst).with_shard("maybe"), None).unwrap_err();
         assert!(err.contains("unknown shard mode"), "{err}");
-        let err = validate(&Request::solve(&inst).with_precision("float"), None).unwrap_err();
-        assert!(err.contains("unknown precision mode"), "{err}");
 
         // Defaults flow through.
         match validate(&Request::solve(&inst), Some(Duration::from_secs(1))).unwrap() {
@@ -1244,7 +1251,7 @@ mod tests {
                 assert_eq!(method, Method::Auto);
                 assert!(!include_schedule);
                 assert_eq!(opts.shard, atsched_core::solver::ShardMode::Auto);
-                assert_eq!(opts.precision, atsched_core::solver::PrecisionMode::Hybrid);
+                assert_eq!(opts.lp, LpStrategy::Auto);
             }
             _ => panic!("expected solve work"),
         }
@@ -1256,14 +1263,57 @@ mod tests {
             }
             _ => panic!("expected solve work"),
         }
+    }
 
-        // Explicit precision modes parse onto the options.
-        match validate(&Request::solve(&inst).with_precision("f64-unchecked"), None).unwrap() {
-            Work::Solve { opts, .. } => {
-                assert_eq!(opts.precision, atsched_core::solver::PrecisionMode::F64Unchecked);
-            }
-            _ => panic!("expected solve work"),
+    #[test]
+    fn legacy_lp_fields_map_onto_one_strategy() {
+        let inst = Instance::new(2, vec![atsched_core::instance::Job::new(0, 4, 2)]).unwrap();
+        let lp = |backend: Option<&str>, precision: Option<&str>, lp_path: Option<&str>| {
+            let req = Request {
+                backend: backend.map(str::to_string),
+                precision: precision.map(str::to_string),
+                lp_path: lp_path.map(str::to_string),
+                ..Request::solve(&inst)
+            };
+            validate(&req, None).map(|work| match work {
+                Work::Solve { opts, .. } => opts.lp,
+                _ => panic!("expected solve work"),
+            })
+        };
+        use LpStrategy::*;
+        for (backend, precision, lp_path, want) in [
+            (None, None, None, Auto),
+            (Some("exact"), None, None, Auto),
+            (Some("snap"), None, None, Auto),
+            (Some("float"), None, None, Float),
+            (None, Some("hybrid"), None, Auto),
+            (None, Some("f64-unchecked"), None, Auto),
+            (None, Some("exact"), None, Exact),
+            (None, None, Some("auto"), Auto),
+            (None, None, Some("tree"), Auto),
+            (None, None, Some("simplex"), Simplex),
+            // The first field that names a strategy wins.
+            (Some("float"), Some("exact"), Some("simplex"), Float),
+            (None, Some("exact"), Some("simplex"), Exact),
+        ] {
+            assert_eq!(lp(backend, precision, lp_path), Ok(want), "{backend:?} {precision:?}");
         }
+        // `with_lp` writes fields that map back onto the same strategy,
+        // overwriting any stale legacy field.
+        for want in [Auto, Simplex, Exact, Float] {
+            let stale = Request { precision: Some("exact".into()), ..Request::solve(&inst) };
+            let req = stale.with_lp(want);
+            match validate(&req, None).unwrap() {
+                Work::Solve { opts, .. } => assert_eq!(opts.lp, want),
+                _ => panic!("expected solve work"),
+            }
+        }
+        let err = lp(Some("gpu"), None, None).unwrap_err();
+        assert!(err.contains("unknown backend"), "{err}");
+        let err = lp(None, Some("float"), None).unwrap_err();
+        assert!(err.contains("unknown precision mode"), "{err}");
+        let err = lp(None, None, Some("fast")).unwrap_err();
+        assert!(err.contains("unknown lp path"), "{err}");
     }
 
     #[test]

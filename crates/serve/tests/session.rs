@@ -375,37 +375,80 @@ fn v2_session_replies_parse_for_version_blind_readers() {
     handle.join().unwrap();
 }
 
+/// One root whose LP optimum the tree DP cannot pin, so `auto` falls
+/// back to the simplex on it.
+const TREE_DECLINES: &str = r#"{"g":2,"jobs":[{"release":0,"deadline":10,"processing":2},{"release":1,"deadline":6,"processing":2},{"release":2,"deadline":5,"processing":1},{"release":7,"deadline":9,"processing":1}]}"#;
+
 #[test]
-fn open_honours_lp_path_like_solve() {
+fn legacy_lp_fields_answer_like_the_default() {
     let handle = spawn_server(ServerConfig::default().workers(1));
     let mut conn = RawConn::connect(handle.addr());
+    let inst = TREE_DECLINES;
 
-    // One root whose LP optimum the tree path cannot pin: a forced tree
-    // path declines it, and must do so for `open` exactly as for `solve`.
-    let inst = r#"{"g":2,"jobs":[{"release":0,"deadline":10,"processing":2},{"release":1,"deadline":6,"processing":2},{"release":2,"deadline":5,"processing":1},{"release":7,"deadline":9,"processing":1}]}"#;
-    for (id, lp_path) in [(1, "tree"), (3, "auto")] {
-        let solved = conn.exchange(&format!(
-            r#"{{"id":{id},"verb":"solve","version":2,"lp_path":"{lp_path}","instance":{inst}}}"#
-        ));
-        let opened = conn.exchange(&format!(
-            r#"{{"id":{},"verb":"open","version":2,"lp_path":"{lp_path}","instance":{inst}}}"#,
+    let default = conn.exchange(&format!(r#"{{"id":0,"verb":"solve","instance":{inst}}}"#));
+    let want = default.solve.expect("default solve").active_slots;
+    let legacy = [
+        ("backend", "exact"),
+        ("backend", "float"),
+        ("backend", "snap"),
+        ("precision", "hybrid"),
+        ("precision", "exact"),
+        ("precision", "f64-unchecked"),
+        ("lp_path", "auto"),
+        // `tree` maps to `auto`: the tree DP declines this shape and
+        // the simplex answers.
+        ("lp_path", "tree"),
+        ("lp_path", "simplex"),
+    ];
+    for (id, (field, value)) in legacy.into_iter().enumerate() {
+        let resp = conn.exchange(&format!(
+            r#"{{"id":{},"verb":"solve","version":2,"{field}":"{value}","instance":{inst}}}"#,
             id + 1
         ));
-        assert_eq!(opened.error_kind(), solved.error_kind(), "{lp_path}: {opened:?} vs {solved:?}");
-        assert_eq!(
-            opened.error.as_ref().map(|e| &e.message),
-            solved.error.as_ref().map(|e| &e.message),
-            "{lp_path}: failure messages diverged"
-        );
-        if lp_path == "tree" {
-            assert_eq!(solved.error_kind(), Some(kind::FAILED), "{solved:?}");
-        } else {
-            assert!(solved.is_ok() && opened.is_ok(), "{solved:?} / {opened:?}");
-            assert_eq!(opened.solve.unwrap().active_slots, solved.solve.unwrap().active_slots);
-        }
+        assert!(resp.is_ok(), "{field}={value}: {resp:?}");
+        assert_eq!(resp.solve.unwrap().active_slots, want, "{field}={value}");
+    }
+    for (field, value) in [("backend", "gpu"), ("precision", "float"), ("lp_path", "fast")] {
+        let resp = conn.exchange(&format!(
+            r#"{{"id":99,"verb":"solve","version":2,"{field}":"{value}","instance":{inst}}}"#
+        ));
+        assert_eq!(resp.error_kind(), Some(kind::BAD_REQUEST), "{field}={value}: {resp:?}");
     }
 
     let mut client = Client::connect(handle.addr()).unwrap();
     client.shutdown().expect("drain");
+    handle.join().unwrap();
+}
+
+#[test]
+fn open_honours_the_lp_strategy_like_solve() {
+    let handle = spawn_server(ServerConfig::default().workers(1));
+    let mut conn = RawConn::connect(handle.addr());
+    let mut stats = Client::connect(handle.addr()).unwrap();
+    let mut tree_solved =
+        || stats.stats().expect("stats").registry.counter("lp.tree_solved").unwrap_or(0);
+
+    // Three unit jobs in a width-2 window: the tree DP pins this LP. Each
+    // frame gets its own shifted copy, so the engine cache never answers.
+    let mut id = 0;
+    for lp_path in ["simplex", "auto"] {
+        for verb in ["solve", "open"] {
+            id += 1;
+            let job = |_| format!(r#"{{"release":{id},"deadline":{},"processing":1}}"#, id + 2);
+            let jobs: Vec<String> = (0..3).map(job).collect();
+            let inst = format!(r#"{{"g":2,"jobs":[{}]}}"#, jobs.join(","));
+            let before = tree_solved();
+            let resp = conn.exchange(&format!(
+                r#"{{"id":{id},"verb":"{verb}","version":2,"lp_path":"{lp_path}","instance":{inst}}}"#
+            ));
+            assert!(resp.is_ok(), "{verb} lp_path={lp_path}: {resp:?}");
+            assert_eq!(resp.solve.unwrap().active_slots, 2, "{verb} lp_path={lp_path}");
+            let moved = tree_solved() - before;
+            let want = if lp_path == "auto" { 1 } else { 0 };
+            assert_eq!(moved, want, "{verb} lp_path={lp_path}: lp.tree_solved moved by {moved}");
+        }
+    }
+
+    stats.shutdown().expect("drain");
     handle.join().unwrap();
 }

@@ -5,6 +5,7 @@
 //! ```
 //! use nested_active_time::{Solve, Method};
 //! use nested_active_time::core::instance::{Instance, Job};
+//! use nested_active_time::core::solver::LpStrategy;
 //!
 //! let inst = Instance::new(2, vec![Job::new(0, 4, 2), Job::new(1, 3, 1)]).unwrap();
 //!
@@ -15,7 +16,7 @@
 //! // Explicit configuration, builder-style:
 //! let outcome = Solve::new(&inst)
 //!     .method(Method::Nested)
-//!     .exact()
+//!     .lp(LpStrategy::Exact)
 //!     .polished()
 //!     .timeout(std::time::Duration::from_secs(30))
 //!     .run()
@@ -32,9 +33,7 @@ use atsched_baselines::greedy::ScanOrder;
 use atsched_baselines::incremental::minimal_feasible_fast;
 use atsched_core::instance::Instance;
 use atsched_core::schedule::Schedule;
-use atsched_core::solver::{
-    LpBackend, LpPath, PrecisionMode, ShardMode, SolveResult, SolveStats, SolverOptions,
-};
+use atsched_core::solver::{LpStrategy, ShardMode, SolveResult, SolveStats, SolverOptions};
 use atsched_engine::{isolated, solve_nested_sharded, with_budget};
 use std::time::Duration;
 
@@ -162,7 +161,7 @@ pub struct Solve<'a> {
 
 impl<'a> Solve<'a> {
     /// Start configuring a solve of `inst` (defaults: [`Method::Auto`],
-    /// exact backend, no polish, no timeout).
+    /// [`LpStrategy::Auto`], no polish, no timeout).
     pub fn new(inst: &'a Instance) -> Self {
         Solve {
             inst,
@@ -185,37 +184,11 @@ impl<'a> Solve<'a> {
         self
     }
 
-    /// Exact big-rational LP backend (the default; unconditional 9/5).
-    pub fn exact(mut self) -> Self {
-        self.opts.backend = LpBackend::Exact;
-        self
-    }
-
-    /// Fast `f64` LP backend.
-    pub fn float(mut self) -> Self {
-        self.opts.backend = LpBackend::Float;
-        self
-    }
-
-    /// Hybrid backend: float LP, rationalized, exact rounding.
-    pub fn snap(mut self) -> Self {
-        self.opts.backend = LpBackend::FloatThenSnap;
-        self
-    }
-
-    /// Arithmetic discipline for the exact backend's LP stage (default
-    /// [`PrecisionMode::Hybrid`] — f64-first, exactly verified,
-    /// bit-identical to [`PrecisionMode::Exact`]).
-    pub fn precision(mut self, mode: PrecisionMode) -> Self {
-        self.opts.precision = mode;
-        self
-    }
-
-    /// LP solver path for the exact backend (default [`LpPath::Auto`] —
-    /// combinatorial tree path first, simplex fallback; bit-identical
-    /// either way).
-    pub fn lp_path(mut self, path: LpPath) -> Self {
-        self.opts.lp_path = path;
+    /// How the nested path solves its LP (default [`LpStrategy::Auto`]
+    /// — tree DP, then verified hybrid, then exact simplex; every
+    /// strategy but `Float` is bit-identical to [`LpStrategy::Exact`]).
+    pub fn lp(mut self, lp: LpStrategy) -> Self {
+        self.opts.lp = lp;
         self
     }
 
@@ -335,10 +308,9 @@ mod tests {
         assert!(polished.active_time() <= plain.active_time());
         assert!(polished.stats().unwrap().polish_closed >= 0);
 
-        let float = Solve::new(&i).method(Method::Nested).float().run().unwrap();
+        let float = Solve::new(&i).method(Method::Nested).lp(LpStrategy::Float).run().unwrap();
         float.schedule().verify(&i).unwrap();
-        let snap = Solve::new(&i).method(Method::Nested).snap().run().unwrap();
-        snap.schedule().verify(&i).unwrap();
+        assert!(float.stats().unwrap().lp_objective_exact.is_none(), "float strategy reached");
     }
 
     #[test]
@@ -398,21 +370,14 @@ mod tests {
     #[test]
     fn precision_modes_agree_through_the_facade() {
         let i = inst(2, vec![(0, 12, 3), (1, 6, 2), (2, 5, 1), (7, 11, 2)]);
-        let hybrid = Solve::new(&i).method(Method::Nested).run().unwrap();
-        let pure =
-            Solve::new(&i).method(Method::Nested).precision(PrecisionMode::Exact).run().unwrap();
+        let hybrid = Solve::new(&i).method(Method::Nested).lp(LpStrategy::Simplex).run().unwrap();
+        let pure = Solve::new(&i).method(Method::Nested).lp(LpStrategy::Exact).run().unwrap();
         assert_eq!(hybrid.schedule().slots, pure.schedule().slots);
         assert_eq!(hybrid.schedule().assignment, pure.schedule().assignment);
         assert_eq!(
             hybrid.stats().unwrap().lp_objective_exact,
             pure.stats().unwrap().lp_objective_exact
         );
-        let fast = Solve::new(&i)
-            .method(Method::Nested)
-            .precision(PrecisionMode::F64Unchecked)
-            .run()
-            .unwrap();
-        fast.schedule().verify(&i).unwrap();
     }
 
     #[test]
@@ -426,20 +391,13 @@ mod tests {
             let i = inst(2, jobs);
             let auto = Solve::new(&i).method(Method::Nested).run().unwrap();
             let simplex =
-                Solve::new(&i).method(Method::Nested).lp_path(LpPath::Simplex).run().unwrap();
+                Solve::new(&i).method(Method::Nested).lp(LpStrategy::Simplex).run().unwrap();
             assert_eq!(auto.schedule().slots, simplex.schedule().slots);
             assert_eq!(auto.schedule().assignment, simplex.schedule().assignment);
             assert_eq!(
                 auto.stats().unwrap().lp_objective_exact,
                 simplex.stats().unwrap().lp_objective_exact
             );
-        }
-        // Forcing the tree path on a shape it cannot certify surfaces
-        // the typed decline instead of silently falling back.
-        let wide = inst(2, vec![(0, 10, 2), (1, 6, 2), (2, 5, 1), (7, 9, 1)]);
-        match Solve::new(&wide).method(Method::Nested).lp_path(LpPath::Tree).run() {
-            Err(Error::TreeDeclined(_)) => {}
-            other => panic!("expected TreeDeclined, got {other:?}"),
         }
     }
 

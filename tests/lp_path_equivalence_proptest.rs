@@ -1,26 +1,49 @@
 //! Equivalence oracle for the LP-free combinatorial tree path.
 //!
-//! `lp-path=tree`'s only legal behaviors are (a) solving with a
+//! The tree DP's only legal behaviors are (a) solving with a
 //! *bit-identical* exact objective and schedule to the simplex, (b)
 //! proving infeasibility exactly when the simplex does, or (c)
-//! declining — never "solving differently". `lp-path=auto` (the
-//! default) must therefore be observationally indistinguishable from
-//! `lp-path=simplex` on every instance, which is what these properties
-//! pin down, over the same dyadic shrinkable strategy as the pipeline
-//! proptests plus the workloads generators.
+//! declining — never "solving differently". `lp=auto` (the default:
+//! tree DP first, simplex on a decline) must therefore be
+//! observationally indistinguishable from `lp=exact`, the pure rational
+//! simplex, on every instance, which is what these properties pin down,
+//! over the same dyadic shrinkable strategy as the pipeline proptests
+//! plus the workloads generators. On the pinned-optima families the
+//! `lp.tree_*` counters additionally prove that the tree DP, not the
+//! fallback, produced the answer.
 
 use nested_active_time::core::instance::{Instance, Job};
-use nested_active_time::core::solver::{solve_nested, LpPath, SolveError, SolverOptions};
+use nested_active_time::core::solver::{
+    solve_nested, LpStrategy, SolveError, SolveResult, SolverOptions,
+};
+use nested_active_time::obs;
 use nested_active_time::workloads::families::{shallow_nest, unit_blocks};
 use nested_active_time::workloads::generators::{
     random_laminar, random_multi_root, LaminarConfig, MultiRootConfig,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const LEVELS: u32 = 3; // horizon 8
 
-fn opts(path: LpPath) -> SolverOptions {
-    SolverOptions::exact().with_lp_path(path)
+fn opts(lp: LpStrategy) -> SolverOptions {
+    SolverOptions::exact().with_lp(lp)
+}
+
+/// Solve with `lp=auto` and require that the tree DP answered: one
+/// `lp.tree_solved`, no `lp.tree_fallback.*`.
+fn solve_on_tree(inst: &Instance) -> SolveResult {
+    let reg = Arc::new(obs::Registry::new());
+    let result = obs::with_collector(obs::Collector::new(Arc::clone(&reg)), || {
+        solve_nested(inst, &opts(LpStrategy::Auto)).unwrap()
+    });
+    let snap = reg.snapshot();
+    assert_eq!(snap.counter("lp.tree_solved"), Some(1), "{snap:?}");
+    for reason in ["nonunique", "flow", "scale", "overflow"] {
+        let key = format!("lp.tree_fallback.{reason}");
+        assert_eq!(snap.counter(&key).unwrap_or(0), 0, "{key}");
+    }
+    result
 }
 
 fn dyadic_job() -> impl Strategy<Value = Job> {
@@ -39,13 +62,13 @@ fn any_instance() -> impl Strategy<Value = Instance> {
         .prop_filter_map("well-formed", |(g, jobs)| Instance::new(g, jobs).ok())
 }
 
-/// Auto and Simplex must agree observationally: the same verdict, and
+/// Auto and Exact must agree observationally: the same verdict, and
 /// on success a bit-identical exact LP objective plus an identical
 /// slot-for-slot schedule.
 fn assert_paths_agree(inst: &Instance) -> Result<(), TestCaseError> {
-    let auto = solve_nested(inst, &opts(LpPath::Auto));
-    let simplex = solve_nested(inst, &opts(LpPath::Simplex));
-    match (&auto, &simplex) {
+    let auto = solve_nested(inst, &opts(LpStrategy::Auto));
+    let exact = solve_nested(inst, &opts(LpStrategy::Exact));
+    match (&auto, &exact) {
         (Ok(a), Ok(s)) => {
             prop_assert_eq!(&a.stats.lp_objective_exact, &s.stats.lp_objective_exact);
             prop_assert_eq!(&a.schedule.slots, &s.schedule.slots);
@@ -57,7 +80,7 @@ fn assert_paths_agree(inst: &Instance) -> Result<(), TestCaseError> {
                 Ok(_) => "solved".to_string(),
                 Err(e) => format!("error: {e}"),
             };
-            prop_assert!(false, "verdicts diverged: auto={}, simplex={}", label(a), label(s));
+            prop_assert!(false, "verdicts diverged: auto={}, exact={}", label(a), label(s));
         }
     }
     Ok(())
@@ -83,9 +106,9 @@ proptest! {
         assert_paths_agree(&random_multi_root(&mcfg, seed))?;
     }
 
-    /// The unit-blocks family is 100% tree-handled: forcing
-    /// `lp-path=tree` must never decline, and the result must still be
-    /// bit-identical to the simplex.
+    /// The unit-blocks family is 100% tree-handled: the tree DP must
+    /// never decline, and the result must still be bit-identical to the
+    /// exact simplex.
     #[test]
     fn prop_unit_blocks_family_is_fully_tree_handled(
         blocks in 1usize..5,
@@ -95,11 +118,10 @@ proptest! {
     ) {
         prop_assume!(jobs as i64 <= g * width);
         let inst = unit_blocks(blocks, jobs, width, g);
-        let tree = solve_nested(&inst, &opts(LpPath::Tree))
-            .expect("unit-blocks family must be 100% tree-handled");
-        let simplex = solve_nested(&inst, &opts(LpPath::Simplex)).unwrap();
-        prop_assert_eq!(&tree.stats.lp_objective_exact, &simplex.stats.lp_objective_exact);
-        prop_assert_eq!(&tree.schedule.slots, &simplex.schedule.slots);
+        let tree = solve_on_tree(&inst);
+        let exact = solve_nested(&inst, &opts(LpStrategy::Exact)).unwrap();
+        prop_assert_eq!(&tree.stats.lp_objective_exact, &exact.stats.lp_objective_exact);
+        prop_assert_eq!(&tree.schedule.slots, &exact.schedule.slots);
     }
 
     /// Likewise for the shallow-nest family: the saturated rigid leaf
@@ -112,10 +134,9 @@ proptest! {
     ) {
         prop_assume!((top as i64) < 4 * g);
         let inst = shallow_nest(blocks, top, g);
-        let tree = solve_nested(&inst, &opts(LpPath::Tree))
-            .expect("shallow-nest family must be 100% tree-handled");
-        let simplex = solve_nested(&inst, &opts(LpPath::Simplex)).unwrap();
-        prop_assert_eq!(&tree.stats.lp_objective_exact, &simplex.stats.lp_objective_exact);
-        prop_assert_eq!(&tree.schedule.slots, &simplex.schedule.slots);
+        let tree = solve_on_tree(&inst);
+        let exact = solve_nested(&inst, &opts(LpStrategy::Exact)).unwrap();
+        prop_assert_eq!(&tree.stats.lp_objective_exact, &exact.stats.lp_objective_exact);
+        prop_assert_eq!(&tree.schedule.slots, &exact.schedule.slots);
     }
 }

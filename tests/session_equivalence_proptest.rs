@@ -7,11 +7,10 @@
 //! schedule, the schedule verifies, and on small instances the
 //! Lemma 4.1 support-structure certificate holds.
 //!
-//! Each case draws the session's LP options too — `precision` ∈
-//! {hybrid, exact} × `lp_path` ∈ {auto, tree, simplex} — and the same
-//! options drive the cold reference, so the equivalence covers every LP
-//! path a dirty shard can take, including a forced tree path that
-//! declines (both sides then fail with the same message).
+//! Each case draws the session's LP strategy too — `lp` ∈ {auto,
+//! simplex, exact} — and the same options drive the cold reference, so
+//! the equivalence covers every exact LP path a dirty shard can take
+//! (any failure must carry the same message on both sides).
 //!
 //! The cold reference engine runs with its cache *off*, so nothing the
 //! session reuses (spliced shards, cached parts) can leak into the
@@ -20,7 +19,7 @@
 use nested_active_time::core::certify::check_lemma_4_1;
 use nested_active_time::core::delta::{apply, JobDelta};
 use nested_active_time::core::instance::{Instance, Job};
-use nested_active_time::core::solver::{LpPath, PrecisionMode, ShardMode, SolverOptions};
+use nested_active_time::core::solver::{LpStrategy, ShardMode, SolverOptions};
 use nested_active_time::engine::{Engine, EngineConfig, Outcome};
 use proptest::prelude::*;
 
@@ -154,8 +153,7 @@ proptest! {
         base_jobs in proptest::collection::vec(any::<u32>(), 2..10),
         deltas in proptest::collection::vec(proptest::collection::vec(op(4), 1..4), 1..4),
         shard_force in any::<bool>(),
-        precision in 0usize..2,
-        lp_path in 0usize..3,
+        lp in 0usize..3,
     ) {
         // Deterministically place the base jobs using the dyadic grid.
         let jobs: Vec<Job> = base_jobs
@@ -173,9 +171,8 @@ proptest! {
             .collect();
         let Ok(base) = Instance::new(2, jobs) else { return Ok(()) };
 
-        let precision = [PrecisionMode::Hybrid, PrecisionMode::Exact][precision];
-        let lp_path = [LpPath::Auto, LpPath::Tree, LpPath::Simplex][lp_path];
-        let mut opts = SolverOptions::exact().with_precision(precision).with_lp_path(lp_path);
+        let lp = [LpStrategy::Auto, LpStrategy::Simplex, LpStrategy::Exact][lp];
+        let mut opts = SolverOptions::exact().with_lp(lp);
         opts.shard = if shard_force { ShardMode::Force } else { ShardMode::Auto };
 
         let engine = Engine::new(EngineConfig::default());
